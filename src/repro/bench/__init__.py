@@ -7,7 +7,7 @@ around them:
 
 * :mod:`repro.bench.schema` — the :class:`BenchResult` artifact schema
   (deterministic comparable payload vs wall-clock ``measured`` block,
-  host provenance, legacy upgraders);
+  host provenance);
 * :mod:`repro.bench.registry` — which modules exist, their tags and
   per-metric improvement directions;
 * :mod:`repro.bench.runner` — executes registered benches through the
@@ -54,7 +54,6 @@ from repro.bench.schema import (
     BenchFormatError,
     BenchResult,
     HostProvenance,
-    upgrade_payload,
     validate_payload,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "BenchFormatError",
     "BenchResult",
     "HostProvenance",
-    "upgrade_payload",
     "validate_payload",
     # registry
     "BENCHES",

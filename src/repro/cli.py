@@ -763,7 +763,6 @@ def _cmd_serve_loadgen(args: argparse.Namespace) -> int:
             samples_per_session=args.samples,
             batch_size=args.batch,
             connections=args.connections,
-            protocol=args.protocol,
             governor=args.governor,
             seed=args.seed,
             chaos=chaos,
@@ -779,7 +778,6 @@ def _cmd_serve_loadgen(args: argparse.Namespace) -> int:
             ("samples/session", str(result.samples_per_session)),
             ("batch size", str(result.batch_size)),
             ("connections", str(result.connections)),
-            ("protocol", f"v{result.protocol}"),
             ("requests", str(result.requests)),
             ("samples", str(result.samples)),
             ("errors", str(result.errors)),
@@ -1654,15 +1652,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_loadgen_parser.add_argument(
         "--batch", type=_positive_int, default=16,
-        help="samples per sample_batch request (default: 16)",
+        help="samples per sample_batch request; 1 sends single-sample "
+        "sample requests (default: 16)",
     )
     serve_loadgen_parser.add_argument(
         "--connections", type=_positive_int, default=4,
         help="concurrent client connections (default: 4)",
-    )
-    serve_loadgen_parser.add_argument(
-        "--protocol", type=_positive_int, default=2, choices=(1, 2),
-        help="wire protocol version (default: 2)",
     )
     serve_loadgen_parser.add_argument(
         "--governor",
@@ -1973,8 +1968,8 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         parents=[_format_parent()],
         help=(
-            "render a results directory (legacy artifacts are upgraded "
-            "to the current schema on the fly)"
+            "render a results directory (every artifact must be in the "
+            "current schema)"
         ),
     )
     bench_report.add_argument(

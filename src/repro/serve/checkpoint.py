@@ -114,10 +114,9 @@ _STORE_SUFFIX = ".ckpt.json"
 
 
 class StoredCheckpoint(NamedTuple):
-    """One durable session checkpoint: id, negotiated protocol, payload."""
+    """One durable session checkpoint: session id and payload."""
 
     session: str
-    protocol: Optional[int]
     checkpoint: Checkpoint
 
 
@@ -131,12 +130,11 @@ class CheckpointStore:
     ``os.replace`` — so a crash mid-write can never corrupt the
     previous checkpoint of the same session.
 
-    Writes are offloaded to a single background writer thread by
-    default, so the worker's event loop only pays the in-memory
-    snapshot cost per checkpoint; the thread preserves per-store
-    operation order (a ``save`` queued before a ``delete`` lands
-    first).  Pass ``synchronous=True`` (or call :meth:`flush`) when a
-    test needs writes to be durable the moment ``save`` returns.  Reads
+    Writes are offloaded to a single background writer thread, so the
+    worker's event loop only pays the in-memory snapshot cost per
+    checkpoint; the thread preserves per-store operation order (a
+    ``save`` queued before a ``delete`` lands first).  Call
+    :meth:`flush` when writes must be durable before going on.  Reads
     (:meth:`load`, :meth:`load_all`) are always synchronous — they only
     happen off the hot path, at worker boot and router recovery.
 
@@ -145,24 +143,19 @@ class CheckpointStore:
     can never escape the directory.
     """
 
-    def __init__(
-        self, root: Union[str, Path], synchronous: bool = False
-    ) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
-        self._synchronous = synchronous
         self._queue: "queue.Queue[Optional[Tuple[str, Optional[str]]]]" = (
             queue.Queue()
         )
-        self._thread: Optional[threading.Thread] = None
         self._closed = False
-        if not synchronous:
-            self._thread = threading.Thread(
-                target=self._writer_main,
-                name="repro-serve-checkpoint-writer",
-                daemon=True,
-            )
-            self._thread.start()
+        self._thread: Optional[threading.Thread] = threading.Thread(
+            target=self._writer_main,
+            name="repro-serve-checkpoint-writer",
+            daemon=True,
+        )
+        self._thread.start()
 
     @property
     def root(self) -> Path:
@@ -176,12 +169,7 @@ class CheckpointStore:
 
     # -- writes -------------------------------------------------------------
 
-    def save(
-        self,
-        session_id: str,
-        checkpoint: Checkpoint,
-        protocol: Optional[int] = None,
-    ) -> None:
+    def save(self, session_id: str, checkpoint: Checkpoint) -> None:
         """Persist one session's checkpoint (latest wins).
 
         The payload is validated *before* it is queued, so a malformed
@@ -190,11 +178,7 @@ class CheckpointStore:
         """
         validate_checkpoint(checkpoint)
         record = json.dumps(
-            {
-                "session": session_id,
-                "protocol": protocol,
-                "checkpoint": checkpoint,
-            },
+            {"session": session_id, "checkpoint": checkpoint},
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -206,7 +190,7 @@ class CheckpointStore:
 
     def _submit(self, session_id: str, record: Optional[str]) -> None:
         path = self._path_for(session_id)
-        if self._synchronous or self._closed:
+        if self._closed:
             self._apply(str(path), record)
         else:
             self._queue.put((str(path), record))
@@ -301,6 +285,12 @@ class CheckpointStore:
 
     @staticmethod
     def _parse(text: str) -> StoredCheckpoint:
+        """Parse one record file.
+
+        Only ``session`` and ``checkpoint`` are read; other keys, such as
+        the ``protocol`` that records from older builds carry, are
+        ignored.
+        """
         try:
             payload = json.loads(text)
         except ValueError as exc:
@@ -316,17 +306,10 @@ class CheckpointStore:
             raise ConfigurationError(
                 "corrupt checkpoint store entry: missing session id"
             )
-        protocol = payload.get("protocol")
-        if protocol is not None and (
-            isinstance(protocol, bool) or not isinstance(protocol, int)
-        ):
-            raise ConfigurationError(
-                "corrupt checkpoint store entry: bad protocol"
-            )
         checkpoint = payload.get("checkpoint")
         if not isinstance(checkpoint, dict):
             raise ConfigurationError(
                 "corrupt checkpoint store entry: missing checkpoint"
             )
         validate_checkpoint(checkpoint)
-        return StoredCheckpoint(session, protocol, checkpoint)
+        return StoredCheckpoint(session, checkpoint)

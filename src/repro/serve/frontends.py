@@ -14,7 +14,9 @@ the worker that executes requests.  When a client floods requests faster
 than the server answers, the reader stops consuming once the queue is
 full, TCP flow control pushes back on the sender, and ``writer.drain()``
 bounds the outgoing buffer.  Responses stay in request order because a
-single worker drains the queue sequentially.
+single worker drains the queue sequentially.  Lines longer than
+:data:`~repro.serve.protocol.MAX_LINE_BYTES` are answered with one
+``bad_request`` and skipped.
 
 Time is taken from an injectable clock (default ``time.monotonic``,
 passed by reference) so idle eviction and latency budgets work on wall
@@ -28,7 +30,12 @@ import time
 from typing import IO, Awaitable, Callable, Optional
 
 from repro.serve.manager import SessionManager
-from repro.serve.protocol import handle_line
+from repro.serve.protocol import (
+    MAX_LINE_BYTES,
+    error_response,
+    handle_line,
+    serialize_response,
+)
 from repro.serve.session import Clock
 
 #: One request line in, one response line out — the contract both the
@@ -42,6 +49,16 @@ DEFAULT_CLOCK: Clock = time.monotonic
 #: Per-connection request-queue depth; when full, the reader stops
 #: consuming and TCP flow control throttles the client.
 DEFAULT_QUEUE_DEPTH = 64
+
+#: Queue entry standing for a request line over the stream limit (real
+#: entries are non-empty stripped lines), and the answer it gets.
+_OVERSIZED = ""
+_OVERSIZED_ANSWER = serialize_response(
+    error_response(
+        "bad_request",
+        f"request line exceeds {MAX_LINE_BYTES} bytes; split the batch",
+    )
+)
 
 
 def serve_stdio(
@@ -65,6 +82,18 @@ def serve_stdio(
     return handled
 
 
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Discard input through the next newline (or to EOF)."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as overrun:
+            await reader.readexactly(overrun.consumed)
+        except asyncio.IncompleteReadError:
+            return
+
+
 async def relay_lines(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
@@ -78,16 +107,26 @@ async def relay_lines(
     single worker that calls ``answer`` in order.  When the queue fills,
     the reader stops consuming and TCP flow control throttles the
     client; ``writer.drain()`` bounds the outgoing buffer.  Responses
-    stay in request order because one worker drains the queue.
+    stay in request order because one worker drains the queue.  A line
+    longer than the reader's limit gets one ``bad_request`` answer and
+    reading resumes after its newline, so every request line still gets
+    exactly one answer.
     """
     queue: "asyncio.Queue[Optional[str]]" = asyncio.Queue(maxsize=queue_depth)
 
     async def read_requests() -> None:
         try:
             while True:
-                raw = await reader.readline()
-                if not raw:
-                    break
+                try:
+                    raw = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as eof:
+                    raw = eof.partial  # a last line without its newline
+                    if not raw:
+                        break
+                except asyncio.LimitOverrunError:
+                    await _skip_line(reader)
+                    await queue.put(_OVERSIZED)
+                    continue
                 line = raw.decode("utf-8", errors="replace").strip()
                 if not line:
                     continue
@@ -102,7 +141,8 @@ async def relay_lines(
             line = await queue.get()
             if line is None:
                 break
-            writer.write((await answer(line) + "\n").encode("utf-8"))
+            response = await answer(line) if line else _OVERSIZED_ANSWER
+            writer.write((response + "\n").encode("utf-8"))
             await writer.drain()
 
     read_task = asyncio.ensure_future(read_requests())
@@ -162,7 +202,9 @@ async def serve_tcp_async(
             # logging the cancellation as an unhandled error.
             pass
 
-    server = await asyncio.start_server(on_connect, host=host, port=port)
+    server = await asyncio.start_server(
+        on_connect, host=host, port=port, limit=MAX_LINE_BYTES
+    )
     sockets = server.sockets or []
     bound_port = sockets[0].getsockname()[1] if sockets else port
     if ready is not None and not ready.done():

@@ -3,8 +3,8 @@
 ``repro serve loadgen`` drives a running server (single-process or
 sharded) over TCP with a reproducible workload: every session streams a
 seeded plateau-shaped Mem/Uop series — the same synthetic shape the
-equivalence property tests use — as protocol-v2 ``sample_batch``
-requests (or v1 ``sample`` requests for back-compat testing).
+equivalence property tests use — as ``sample_batch`` requests, or as
+single-sample ``sample`` requests at batch size 1.
 
 Determinism is the point, not an accident: the sample series depends
 only on ``seed`` and the session index, and the generator digests every
@@ -53,7 +53,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.serve.frontends import DEFAULT_CLOCK
-from repro.serve.protocol import PROTOCOL_VERSION, SUPPORTED_PROTOCOLS
 from repro.serve.session import Clock
 
 #: Plateau levels for the synthetic Mem/Uop series — one per phase band
@@ -215,7 +214,6 @@ class LoadgenResult:
     samples_per_session: int
     batch_size: int
     connections: int
-    protocol: int
     requests: int
     samples: int
     errors: int
@@ -239,7 +237,6 @@ class LoadgenResult:
             "samples_per_session": self.samples_per_session,
             "batch_size": self.batch_size,
             "connections": self.connections,
-            "protocol": self.protocol,
             "requests": self.requests,
             "samples": self.samples,
             "errors": self.errors,
@@ -391,7 +388,6 @@ def _drive_session(
     session_index: int,
     samples_per_session: int,
     batch_size: int,
-    protocol: int,
     governor: str,
     seed: int,
     verify: bool,
@@ -457,9 +453,7 @@ def _drive_session(
             policy.sleep(policy.delay_s)
         return None
 
-    response = call_with_recovery(
-        {"op": "hello", "protocol": protocol, "governor": governor}
-    )
+    response = call_with_recovery({"op": "hello", "governor": governor})
     if not response.get("ok"):
         return requests, samples, errors + 1, "", recoveries, replayed
     session_id = str(response["session"])
@@ -470,7 +464,7 @@ def _drive_session(
     while True:
         while index < len(series):
             chunk = series[index : index + batch_size]
-            if protocol >= 2 and batch_size > 1:
+            if batch_size > 1:
                 request: Dict[str, object] = {
                     "op": "sample_batch",
                     "session": session_id,
@@ -588,7 +582,6 @@ def run_loadgen(
     samples_per_session: int = 512,
     batch_size: int = 16,
     connections: int = 4,
-    protocol: int = PROTOCOL_VERSION,
     governor: str = "gpht",
     seed: int = 0,
     verify: bool = True,
@@ -621,8 +614,8 @@ def run_loadgen(
     concurrent-connection replay-window caveat).
 
     Raises:
-        ConfigurationError: On invalid parameters (e.g. batching
-            requested on protocol v1, or chaos without verify).
+        ConfigurationError: On invalid parameters (e.g. a batch size
+            below 1, or chaos without verify).
     """
     if sessions < 1:
         raise ConfigurationError(f"sessions must be >= 1, got {sessions}")
@@ -635,14 +628,6 @@ def run_loadgen(
     if connections < 1:
         raise ConfigurationError(
             f"connections must be >= 1, got {connections}"
-        )
-    if protocol not in SUPPORTED_PROTOCOLS:
-        raise ConfigurationError(
-            f"protocol must be one of {SUPPORTED_PROTOCOLS}, got {protocol}"
-        )
-    if protocol < 2 and batch_size > 1:
-        raise ConfigurationError(
-            "protocol v1 has no sample_batch op; use --batch 1 or --protocol 2"
         )
     if chaos is not None and not verify:
         raise ConfigurationError(
@@ -680,7 +665,6 @@ def run_loadgen(
                         session_index,
                         samples_per_session,
                         batch_size,
-                        protocol,
                         governor,
                         seed,
                         verify,
@@ -728,7 +712,6 @@ def run_loadgen(
         samples_per_session=samples_per_session,
         batch_size=batch_size,
         connections=connections,
-        protocol=protocol,
         requests=totals[0],
         samples=totals[1],
         errors=totals[2],

@@ -57,17 +57,11 @@ class UnknownSessionError(ReproError):
 class _Entry:
     """One live session plus its bookkeeping."""
 
-    __slots__ = ("session", "last_used", "protocol", "checkpointed_samples")
+    __slots__ = ("session", "last_used", "checkpointed_samples")
 
-    def __init__(
-        self,
-        session: PhaseSession,
-        last_used: float,
-        protocol: Optional[int] = None,
-    ) -> None:
+    def __init__(self, session: PhaseSession, last_used: float) -> None:
         self.session = session
         self.last_used = last_used
-        self.protocol = protocol
         # Sample count at the last durable checkpoint; drives the
         # checkpoint cadence (see SessionManager.maybe_checkpoint).
         self.checkpointed_samples = session.samples
@@ -172,15 +166,8 @@ class SessionManager:
         """Ids of every live session, in creation order."""
         return tuple(self._sessions)
 
-    def open(
-        self,
-        config: Optional[SessionConfig] = None,
-        protocol: Optional[int] = None,
-    ) -> PhaseSession:
+    def open(self, config: Optional[SessionConfig] = None) -> PhaseSession:
         """Create a session, enforcing the overload ceiling.
-
-        ``protocol`` records the wire protocol version negotiated in
-        ``hello`` (``None`` = latest); :meth:`protocol_of` answers it.
 
         Raises:
             OverloadedError: When the server is full even after evicting
@@ -193,13 +180,9 @@ class SessionManager:
             tracer=self._tracer,
             metrics=self._metrics,
         )
-        return self._register(session, protocol)
+        return self._register(session)
 
-    def restore(
-        self,
-        checkpoint: Payload,
-        protocol: Optional[int] = None,
-    ) -> PhaseSession:
+    def restore(self, checkpoint: Payload) -> PhaseSession:
         """Open a session from a checkpoint (same overload rules).
 
         Raises:
@@ -213,14 +196,9 @@ class SessionManager:
             tracer=self._tracer,
             metrics=self._metrics,
         )
-        return self._register(session, protocol)
+        return self._register(session)
 
-    def restore_as(
-        self,
-        session_id: str,
-        checkpoint: Payload,
-        protocol: Optional[int] = None,
-    ) -> PhaseSession:
+    def restore_as(self, session_id: str, checkpoint: Payload) -> PhaseSession:
         """Restore a checkpoint *under its original id* (recovery path).
 
         Unlike :meth:`restore`, which mints a fresh id, this re-opens
@@ -252,7 +230,7 @@ class SessionManager:
         match = _MINTED_ID_RE.match(session_id)
         if match is not None:
             self._next_id = max(self._next_id, int(match.group(1)) + 1)
-        self._register(session, protocol)
+        self._register(session)
         self._metrics.counter("serve.sessions_restored").inc()
         if self._tracer.enabled:
             self._tracer.emit(
@@ -283,23 +261,6 @@ class SessionManager:
                 "close a session or retry later"
             )
 
-    def protocol_of(self, session_id: str) -> Optional[int]:
-        """The protocol version negotiated for a live session.
-
-        ``None`` means the session was opened without explicit
-        negotiation (treated as the latest version by the dispatcher).
-
-        Raises:
-            UnknownSessionError: If the id names no live session.
-        """
-        entry = self._sessions.get(session_id)
-        if entry is None:
-            raise UnknownSessionError(
-                f"unknown session {session_id!r} (closed, evicted or never "
-                "opened)"
-            )
-        return entry.protocol
-
     def maybe_checkpoint(self, session_id: str) -> bool:
         """Persist ``session_id`` if it advanced a full cadence.
 
@@ -319,24 +280,20 @@ class SessionManager:
             self._checkpoint_every
         ):
             return False
-        store.save(session_id, session.snapshot(), entry.protocol)
+        store.save(session_id, session.snapshot())
         entry.checkpointed_samples = session.samples
         self._metrics.counter("serve.checkpoints_written").inc()
         return True
 
-    def _register(
-        self, session: PhaseSession, protocol: Optional[int] = None
-    ) -> PhaseSession:
-        self._sessions[session.session_id] = _Entry(
-            session, self.now(), protocol
-        )
+    def _register(self, session: PhaseSession) -> PhaseSession:
+        self._sessions[session.session_id] = _Entry(session, self.now())
         if self._checkpoint_store is not None:
-            # Initial checkpoint: from this moment the session survives
-            # a worker death with a replay window of at most
-            # checkpoint_every samples (plus any in-flight batch).
-            self._checkpoint_store.save(
-                session.session_id, session.snapshot(), protocol
-            )
+            # Initial checkpoint, on disk before the open is answered:
+            # from then on the session survives a worker death with a
+            # replay window of at most checkpoint_every samples (plus
+            # any in-flight batch).
+            self._checkpoint_store.save(session.session_id, session.snapshot())
+            self._checkpoint_store.flush()
             self._metrics.counter("serve.checkpoints_written").inc()
         self._metrics.counter("serve.sessions_opened").inc()
         self._metrics.gauge("serve.sessions_active").set(

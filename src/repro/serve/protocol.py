@@ -6,18 +6,20 @@ is a JSON object with an ``op`` field; every response carries ``ok``
 The same dispatcher serves both frontends — stdio and TCP differ only
 in transport.
 
-Operations (protocol version 2; version 1 still negotiable in ``hello``):
+Operations (protocol version 2):
 
 =========  ==============================================================
 ``hello``  Open a session.  Optional ``protocol`` (any version in
-           :data:`SUPPORTED_PROTOCOLS`; the response echoes the
-           negotiated version) and any
-           :class:`~repro.serve.session.SessionConfig` fields.
+           :data:`SUPPORTED_PROTOCOLS`; the response echoes it) and any
+           :class:`~repro.serve.session.SessionConfig` fields.  The
+           version is only checked, never stored: version 1 lacks
+           nothing but ``sample_batch``, so every session may use
+           every op.
 ``sample`` Feed one interval: ``session``, ``interval``, ``mem_per_uop``
            and optional ``upc``.  Answers the classified phase, the
            predicted next phase, the recommended frequency, the degraded
            flag and whether the previous prediction hit.
-``sample_batch`` (v2) Feed N ordered intervals in one round trip:
+``sample_batch`` Feed N ordered intervals in one round trip:
            ``session``, ``start_interval`` and ``samples`` — an array
            whose elements are each either a number (``mem_per_uop``) or
            a ``[mem_per_uop, upc]`` pair.  Answers ``outcomes``: one
@@ -27,14 +29,11 @@ Operations (protocol version 2; version 1 still negotiable in ``hello``):
            batch is rejected whole and the session is untouched.
 ``predict`` The standing prediction without feeding a sample.
 ``snapshot`` The session's lossless checkpoint (see
-           :mod:`repro.serve.checkpoint`) plus the negotiated
-           ``protocol`` version, so a restore elsewhere can preserve
-           the session's protocol pinning.
+           :mod:`repro.serve.checkpoint`).
 ``restore`` Open a session from a checkpoint payload.  By default a
            fresh id is minted; with an explicit ``session`` field the
            checkpoint is restored *under that id* (the recovery and
-           migration path — the id must not be live), and an optional
-           ``protocol`` field re-pins the negotiated version.
+           migration path — the id must not be live).
 ``stats``  Per-session (with ``session``) or server statistics.
 ``bye``    Close a session.  Optional ``reason`` is recorded in the
            ``session_closed`` trace event; the reserved reason
@@ -42,8 +41,16 @@ Operations (protocol version 2; version 1 still negotiable in ``hello``):
            migration target owns it now).
 =========  ==============================================================
 
+Sample values (``mem_per_uop``, ``upc``) must be finite: NaN, the
+infinities and integers too large for a float answer ``bad_request``
+instead of classifying as the slowest phase.  A TCP stream accepts lines
+of at most :data:`MAX_LINE_BYTES`, enough for a full
+:data:`MAX_BATCH_SAMPLES` batch; a longer line answers ``bad_request``
+and the connection reads on from the next newline.
+
 Error codes: ``bad_request``, ``unknown_session``, ``server_overloaded``,
-``unsupported_protocol``, ``internal`` — plus ``worker_unavailable`` and
+``unsupported_protocol`` (a ``hello`` naming a version this server does
+not speak), ``internal`` — plus ``worker_unavailable`` and
 ``worker_recovering``, emitted by the shard router
 (:mod:`repro.serve.shard`) when the worker owning a session's shard has
 died (permanently, or while its auto-restarted replacement is still
@@ -58,7 +65,8 @@ from __future__ import annotations
 
 import json
 import re
-from typing import List, Mapping, Optional, Tuple
+from math import isfinite
+from typing import Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
 from repro.serve.checkpoint import validate_checkpoint
@@ -72,12 +80,19 @@ from repro.serve.session import Payload, SessionConfig
 #: Current (preferred) wire protocol version.
 PROTOCOL_VERSION = 2
 
-#: Versions ``hello`` accepts.  Version 1 is the PR 4 protocol without
-#: ``sample_batch``; a v1 session is served exactly as before.
+#: Versions ``hello`` accepts.  Version 1 is version 2 without
+#: ``sample_batch``; both are served by the same dispatcher.
 SUPPORTED_PROTOCOLS = (1, 2)
 
 #: Hard per-request ceiling on ``sample_batch`` size (memory bound).
 MAX_BATCH_SAMPLES = 4096
+
+#: Longest line, in bytes, a TCP stream reads — requests on the
+#: frontend and router, answers on the router's worker links.  128
+#: bytes per sample holds a ``[mem_per_uop, upc]`` pair of any two
+#: floats with room for whitespace, and a full batch's outcome rows
+#: take far less.
+MAX_LINE_BYTES = 128 * MAX_BATCH_SAMPLES
 
 #: Server identification string sent in ``hello`` responses.
 SERVER_NAME = "repro-serve"
@@ -101,17 +116,6 @@ ERROR_CODES = (
 #: and log-safe charset, bounded length.  Server-minted ids (``s1``,
 #: ``s17x3``) are a strict subset.
 _SESSION_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
-
-#: ``SessionConfig`` fields accepted inline in a ``hello`` request.
-_CONFIG_FIELDS = (
-    "governor",
-    "policy",
-    "gphr_depth",
-    "pht_entries",
-    "window_size",
-    "latency_budget_s",
-    "cooldown",
-)
 
 
 class _ProtocolError(ReproError):
@@ -153,13 +157,30 @@ def _require_int(payload: Mapping[str, object], key: str) -> int:
     return value
 
 
+def _finite(value: object) -> Optional[float]:
+    """``value`` as a finite float, or ``None`` when it is not one.
+
+    Booleans, non-numbers, NaN, the infinities (``json`` reads ``1e400``
+    as ``inf``) and integers too large for a float are all ``None``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if isfinite(number) else None
+
+
 def _require_number(payload: Mapping[str, object], key: str) -> float:
     value = _require(payload, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    number = _finite(value)
+    if number is None:
         raise _ProtocolError(
-            "bad_request", f"field {key!r} must be a number, got {value!r}"
+            "bad_request",
+            f"field {key!r} must be a finite number, got {value!r}",
         )
-    return float(value)
+    return number
 
 
 def _optional_number(
@@ -244,16 +265,16 @@ def _op_hello(
             f"protocol {version!r} is not supported; this server speaks "
             f"versions {SUPPORTED_PROTOCOLS}",
         )
-    config_payload = {
-        key: payload[key] for key in _CONFIG_FIELDS if key in payload
-    }
-    unexpected = set(payload) - set(_CONFIG_FIELDS) - {"op", "protocol"}
-    if unexpected:
-        raise _ProtocolError(
-            "bad_request", f"unknown hello fields: {sorted(unexpected)}"
-        )
-    config = SessionConfig.from_payload(config_payload)
-    session = manager.open(config, protocol=version)
+    # Every other field is session config; from_payload rejects
+    # unknown ones.
+    config = SessionConfig.from_payload(
+        {
+            key: value
+            for key, value in payload.items()
+            if key not in ("op", "protocol")
+        }
+    )
+    session = manager.open(config)
     return {
         "ok": True,
         "op": "hello",
@@ -288,44 +309,26 @@ def _op_sample(
 
 def _parse_batch_sample(element: object, index: int) -> Tuple[float, float]:
     """Normalize one ``samples`` array element to ``(mem_per_uop, upc)``."""
-    if isinstance(element, bool):
+    upc: Optional[float] = 0.0
+    if isinstance(element, list) and 1 <= len(element) <= 2:
+        mem = _finite(element[0])
+        if len(element) == 2:
+            upc = _finite(element[1])
+    else:
+        mem = _finite(element)
+    if mem is None or upc is None:
         raise _ProtocolError(
             "bad_request",
-            f"batch sample {index} must be a number or a "
-            f"[mem_per_uop, upc] pair, got {element!r}",
+            f"batch sample {index} must be a finite number or a "
+            f"[mem_per_uop, upc] pair of finite numbers, got {element!r}",
         )
-    if isinstance(element, (int, float)):
-        return float(element), 0.0
-    if isinstance(element, list) and 1 <= len(element) <= 2:
-        values: List[float] = []
-        for part in element:
-            if isinstance(part, bool) or not isinstance(part, (int, float)):
-                raise _ProtocolError(
-                    "bad_request",
-                    f"batch sample {index} values must be numbers, "
-                    f"got {part!r}",
-                )
-            values.append(float(part))
-        return values[0], (values[1] if len(values) == 2 else 0.0)
-    raise _ProtocolError(
-        "bad_request",
-        f"batch sample {index} must be a number or a "
-        f"[mem_per_uop, upc] pair, got {element!r}",
-    )
+    return mem, upc
 
 
 def _op_sample_batch(
     manager: SessionManager, payload: Mapping[str, object]
 ) -> Payload:
-    session_id = _require_str(payload, "session")
-    session = manager.get(session_id)
-    negotiated = manager.protocol_of(session_id)
-    if negotiated is not None and negotiated < 2:
-        raise _ProtocolError(
-            "unsupported_protocol",
-            "sample_batch requires protocol >= 2; this session negotiated "
-            f"protocol {negotiated} in hello",
-        )
+    session = manager.get(_require_str(payload, "session"))
     start_interval = _require_int(payload, "start_interval")
     raw = _require(payload, "samples")
     if not isinstance(raw, list) or not raw:
@@ -371,31 +374,13 @@ def _op_predict(
 def _op_snapshot(
     manager: SessionManager, payload: Mapping[str, object]
 ) -> Payload:
-    session_id = _require_str(payload, "session")
-    session = manager.get(session_id)
+    session = manager.get(_require_str(payload, "session"))
     return {
         "ok": True,
         "op": "snapshot",
         "session": session.session_id,
-        # The negotiated protocol travels with the checkpoint so a
-        # restore on another worker preserves the session's pinning.
-        "protocol": manager.protocol_of(session_id),
         "checkpoint": session.snapshot(),
     }
-
-
-def _restore_protocol(payload: Mapping[str, object]) -> Optional[int]:
-    """The optional ``protocol`` re-pin of a restore request."""
-    if "protocol" not in payload:
-        return None
-    version = _require_int(payload, "protocol")
-    if version not in SUPPORTED_PROTOCOLS:
-        raise _ProtocolError(
-            "unsupported_protocol",
-            f"protocol {version!r} is not supported; this server speaks "
-            f"versions {SUPPORTED_PROTOCOLS}",
-        )
-    return version
 
 
 def _op_restore(
@@ -407,7 +392,6 @@ def _op_restore(
             "bad_request", "field 'checkpoint' must be an object"
         )
     validate_checkpoint(checkpoint)
-    version = _restore_protocol(payload)
     if "session" in payload:
         session_id = _require_str(payload, "session")
         if _SESSION_ID_RE.match(session_id) is None:
@@ -416,9 +400,9 @@ def _op_restore(
                 f"invalid session id {session_id!r}: expected 1-64 "
                 "characters from [A-Za-z0-9_.-], starting alphanumeric",
             )
-        session = manager.restore_as(session_id, checkpoint, version)
+        session = manager.restore_as(session_id, checkpoint)
     else:
-        session = manager.restore(checkpoint, version)
+        session = manager.restore(checkpoint)
     return {
         "ok": True,
         "op": "restore",

@@ -40,7 +40,7 @@ When a worker dies:
 **Migration:** the router-level ``migrate`` op moves a live session to
 another worker losslessly via drain–snapshot–restore: new traffic for
 the session is gated, in-flight requests drain, the source worker
-snapshots, the target restores under the same id (and protocol), and
+snapshots, the target restores under the same id, and
 the source closes the original with the reserved ``migrated`` reason so
 the durable checkpoint changes owner instead of being deleted.
 
@@ -80,6 +80,7 @@ from repro.serve.manager import (
     SessionManager,
 )
 from repro.serve.protocol import (
+    MAX_LINE_BYTES,
     error_response,
     parse_response,
     serialize_response,
@@ -327,7 +328,7 @@ def _adopt_shard_sessions(
         if owner != index:
             continue
         try:
-            manager.restore_as(record.session, record.checkpoint, record.protocol)
+            manager.restore_as(record.session, record.checkpoint)
         except ReproError:
             continue
         restored += 1
@@ -688,7 +689,10 @@ class ShardedServer:
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
         server = await asyncio.start_server(
-            self._on_client, host=self._host, port=self._port
+            self._on_client,
+            host=self._host,
+            port=self._port,
+            limit=MAX_LINE_BYTES,
         )
         sockets = server.sockets or []
         if sockets:
@@ -860,8 +864,12 @@ class ShardedServer:
             try:
                 link = links.get(worker)
                 if link is None:
+                    # A full batch's answer is over asyncio's default
+                    # 64 KiB line limit.
                     link = await asyncio.open_connection(
-                        self._host, self._worker_ports[worker]
+                        self._host,
+                        self._worker_ports[worker],
+                        limit=MAX_LINE_BYTES,
                     )
                     links[worker] = link
                 upstream_reader, upstream_writer = link
@@ -996,8 +1004,7 @@ class ShardedServer:
 
         The move is lossless and identity-preserving: traffic for the
         session is gated, in-flight requests drain, the source worker
-        answers ``snapshot`` (carrying the negotiated protocol), the
-        target restores under the same id, and only then does the
+        answers ``snapshot``, the target restores under the same id, and only then does the
         source close its copy — with the reserved ``migrated`` reason,
         so the durable checkpoint transfers to the target instead of
         being deleted.  On any failure before the restore succeeds the
@@ -1077,17 +1084,10 @@ class ShardedServer:
                         "checkpoint",
                     )
                 )
-            restore_payload: Dict[str, object] = {
-                "op": "restore",
-                "session": session,
-                "checkpoint": checkpoint,
-            }
-            protocol = snapshot.get("protocol")
-            if isinstance(protocol, int) and not isinstance(protocol, bool):
-                restore_payload["protocol"] = protocol
-            answer = await self._forward(
-                target, serialize_response(restore_payload), links
+            restore_line = serialize_response(
+                {"op": "restore", "session": session, "checkpoint": checkpoint}
             )
+            answer = await self._forward(target, restore_line, links)
             ok, restored = self._parse_answer(answer)
             if not ok:
                 return answer  # source copy is untouched and still live

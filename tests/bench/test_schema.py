@@ -1,4 +1,4 @@
-"""Tests for the versioned benchmark-result schema and legacy upgraders."""
+"""Tests for the versioned benchmark-result schema."""
 
 import json
 
@@ -9,8 +9,6 @@ from repro.bench.schema import (
     SCHEMA_VERSION,
     BenchFormatError,
     BenchResult,
-    HostProvenance,
-    upgrade_payload,
     validate_payload,
 )
 
@@ -107,89 +105,4 @@ class TestValidatorRejections:
         payload = sample_result().to_payload()
         del payload["host"]
         with pytest.raises(BenchFormatError):
-            validate_payload(payload)
-
-
-class TestLegacyUpgraders:
-    def test_current_payload_passes_through(self):
-        payload = sample_result().to_payload()
-        assert upgrade_payload(payload) == payload
-
-    def test_batch_feed_throughput_legacy_shape(self):
-        legacy = {
-            "benchmark": "applu_in",
-            "samples": 20000,
-            "batch_size": 20000,
-            "scalar_samples_per_s": 100000.0,
-            "batch_samples_per_s": 900000.0,
-            "speedup": 9.0,
-            "speedup_target": 6.0,
-        }
-        payload = upgrade_payload(legacy)
-        validate_payload(payload)
-        assert payload["name"] == "batch_feed_throughput"
-        assert payload["measured"]["speedup"] == 9.0
-        assert payload["host"] == HostProvenance.unknown().to_dict()
-
-    def test_learned_accuracy_legacy_shape(self):
-        legacy = {
-            "n_benchmarks": 4,
-            "version": 1,
-            "comparison": {
-                "summary": {
-                    "tree": {
-                        "mean_accuracy": 0.91,
-                        "mean_overhead_units": 3.0,
-                    },
-                    "gpht": {
-                        "mean_accuracy": 0.89,
-                        "mean_overhead_units": 4.0,
-                    },
-                },
-            },
-        }
-        payload = upgrade_payload(legacy)
-        validate_payload(payload)
-        assert payload["name"] == "learned_accuracy"
-        assert payload["metrics"]["tree_mean_accuracy"] == 0.91
-        assert payload["metrics"]["gpht_mean_overhead_units"] == 4.0
-
-    def test_serve_scaleout_legacy_shape(self):
-        legacy = {
-            "sessions": 32,
-            "samples_per_session": 400,
-            "wire_baseline_samples_per_s": 5000.0,
-            "best_samples_per_s": 21000.0,
-            "speedup_vs_wire_baseline": 4.2,
-            "grid": [{"workers": 4, "samples_per_s": 21000.0}],
-        }
-        payload = upgrade_payload(legacy)
-        validate_payload(payload)
-        assert payload["name"] == "serve_scaleout"
-        assert payload["measured"]["speedup_vs_wire_baseline"] == 4.2
-        assert payload["details"]["grid"]
-
-    def test_unrecognized_shape_raises(self):
-        with pytest.raises(BenchFormatError):
-            upgrade_payload({"mystery": 1})
-
-    def test_committed_legacy_baselines_upgrade(self, tmp_path):
-        # The three shapes exactly as they were committed pre-schema.
-        for name, legacy in {
-            "batch_feed_throughput": {
-                "benchmark": "applu_in",
-                "scalar_samples_per_s": 1.0,
-                "batch_samples_per_s": 2.0,
-            },
-            "learned_accuracy": {
-                "n_benchmarks": 2,
-                "comparison": {"summary": {"tree": {"mean_accuracy": 0.5}}},
-            },
-            "serve_scaleout": {
-                "wire_baseline_samples_per_s": 1.0,
-                "grid": [],
-            },
-        }.items():
-            payload = upgrade_payload(legacy)
-            assert payload["name"] == name
             validate_payload(payload)

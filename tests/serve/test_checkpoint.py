@@ -179,54 +179,59 @@ def _snapshot(samples=3):
 
 class TestCheckpointStore:
     def test_save_load_round_trip(self, tmp_path):
-        store = CheckpointStore(tmp_path, synchronous=True)
+        store = CheckpointStore(tmp_path)
         checkpoint = _snapshot()
-        store.save("s1", checkpoint, protocol=2)
+        store.save("s1", checkpoint)
+        store.flush()
         record = store.load("s1")
         assert record is not None
         assert record.session == "s1"
-        assert record.protocol == 2
         assert record.checkpoint == checkpoint
 
     def test_load_missing_returns_none(self, tmp_path):
-        store = CheckpointStore(tmp_path, synchronous=True)
+        store = CheckpointStore(tmp_path)
         assert store.load("nope") is None
 
     def test_delete_removes_and_tolerates_missing(self, tmp_path):
-        store = CheckpointStore(tmp_path, synchronous=True)
+        store = CheckpointStore(tmp_path)
         store.save("s1", _snapshot())
         store.delete("s1")
         store.delete("s1")
+        store.flush()
         assert store.load("s1") is None
         assert store.sessions() == ()
 
     def test_load_all_sorted_by_session(self, tmp_path):
-        store = CheckpointStore(tmp_path, synchronous=True)
+        store = CheckpointStore(tmp_path)
         for session_id in ("s2", "s10", "s1x1"):
             store.save(session_id, _snapshot())
+        store.flush()
         assert [r.session for r in store.load_all()] == ["s10", "s1x1", "s2"]
         assert store.sessions() == ("s10", "s1x1", "s2")
 
     def test_hostile_session_ids_stay_inside_root(self, tmp_path):
-        store = CheckpointStore(tmp_path, synchronous=True)
+        store = CheckpointStore(tmp_path)
         hostile = "../escape/attempt"
         store.save(hostile, _snapshot())
+        store.flush()
         files = list(tmp_path.iterdir())
         assert len(files) == 1
         assert store.load(hostile) is not None
         assert store.sessions() == (hostile,)
 
     def test_invalid_checkpoint_rejected_before_write(self, tmp_path):
-        store = CheckpointStore(tmp_path, synchronous=True)
+        store = CheckpointStore(tmp_path)
         bad = _snapshot()
         bad["samples"] = "12"
         with pytest.raises(ConfigurationError, match="samples"):
             store.save("s1", bad)
+        store.flush()
         assert store.load("s1") is None
 
     def test_corrupt_file_raises_but_load_all_skips(self, tmp_path):
-        store = CheckpointStore(tmp_path, synchronous=True)
+        store = CheckpointStore(tmp_path)
         store.save("s1", _snapshot())
+        store.flush()
         corrupt = tmp_path / "s2.ckpt.json"
         corrupt.write_text("{broken", encoding="utf-8")
         with pytest.raises(ConfigurationError):
@@ -247,14 +252,15 @@ class TestCheckpointStore:
         assert store.load("late") is not None
 
     def test_record_is_versioned_wire_json(self, tmp_path):
-        store = CheckpointStore(tmp_path, synchronous=True)
-        store.save("s1", _snapshot(), protocol=1)
+        store = CheckpointStore(tmp_path)
+        store.save("s1", _snapshot())
+        store.flush()
         raw = json.loads((tmp_path / "s1.ckpt.json").read_text("utf-8"))
+        assert set(raw) == {"session", "checkpoint"}
         assert raw["session"] == "s1"
-        assert raw["protocol"] == 1
         assert raw["checkpoint"]["version"] == CHECKPOINT_VERSION
 
     def test_empty_session_id_rejected(self, tmp_path):
-        store = CheckpointStore(tmp_path, synchronous=True)
+        store = CheckpointStore(tmp_path)
         with pytest.raises(ConfigurationError, match="session"):
             store.save("", _snapshot())

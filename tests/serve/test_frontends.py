@@ -5,6 +5,8 @@ import io
 import json
 
 from repro.serve import SessionManager, serve_stdio, serve_tcp_async
+from repro.serve.frontends import relay_lines
+from repro.serve.protocol import MAX_LINE_BYTES
 
 
 def run_stdio(requests, **manager_kwargs):
@@ -67,7 +69,9 @@ async def _with_server(manager, interact, queue_depth=64):
         serve_tcp_async(manager, port=0, queue_depth=queue_depth, ready=ready)
     )
     port = await asyncio.wait_for(ready, timeout=5)
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    reader, writer = await asyncio.open_connection(
+        "127.0.0.1", port, limit=MAX_LINE_BYTES
+    )
     try:
         return await interact(reader, writer)
     finally:
@@ -172,3 +176,97 @@ class TestTCP:
         first, second = asyncio.run(_with_server(SessionManager(), interact))
         assert first["error"] == "bad_request"
         assert second["ok"] is True
+
+
+class _Sink:
+    """Stand-in stream writer collecting answer lines."""
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, data):
+        self.lines.extend(data.decode().splitlines())
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+class TestLineLimit:
+    def test_full_batch_over_tcp_matches_in_process_session(
+        self, full_batch
+    ):
+        samples, expected = full_batch
+        request = {
+            "op": "sample_batch",
+            "session": "s1",
+            "start_interval": 0,
+            "samples": samples,
+        }
+        assert len(json.dumps(request)) > 64 * 1024
+
+        async def interact(reader, writer):
+            await _rpc(reader, writer, {"op": "hello"})
+            return await _rpc(reader, writer, request)
+
+        response = asyncio.run(_with_server(SessionManager(), interact))
+        assert response["ok"] is True, response
+        assert response["outcomes"] == expected
+
+    def test_over_limit_line_gets_one_error_and_connection_continues(self):
+        async def interact(reader, writer):
+            filler = b"0.0123456789," * (2 * MAX_LINE_BYTES // 13)
+            writer.write(
+                b'{"op":"sample_batch","session":"s1","start_interval":0,'
+                b'"samples":[' + filler + b"0.1]}\n"
+            )
+            await writer.drain()
+            first = json.loads(await asyncio.wait_for(reader.readline(), 5))
+            second = await _rpc(reader, writer, {"op": "hello"})
+            return first, second
+
+        first, second = asyncio.run(_with_server(SessionManager(), interact))
+        assert first["ok"] is False
+        assert first["error"] == "bad_request"
+        assert second["ok"] is True, second
+
+    def test_relay_answers_each_over_limit_line_once(self):
+        # Both ways a line can overrun the reader: whole in the buffer
+        # (newline found past the limit), or still arriving when the
+        # buffer fills (no newline yet).
+        limit = 64
+
+        async def relay(chunks):
+            reader = asyncio.StreamReader(limit=limit)
+            sink = _Sink()
+
+            async def feed():
+                for chunk in chunks:
+                    reader.feed_data(chunk)
+                    await asyncio.sleep(0)
+                reader.feed_eof()
+
+            async def answer(line):
+                return "answer:" + line
+
+            feeder = asyncio.ensure_future(feed())
+            await relay_lines(reader, sink, answer)
+            await feeder
+            return sink.lines
+
+        long_line = b"x" * (3 * limit)
+        whole = asyncio.run(relay([b"a\n" + long_line + b"\nb\n"]))
+        split = asyncio.run(
+            relay([b"a\n", long_line[:limit * 2], long_line[limit * 2:],
+                   b"\nb\n"])
+        )
+        for lines in (whole, split):
+            assert len(lines) == 3, lines
+            assert lines[0] == "answer:a"
+            assert json.loads(lines[1])["error"] == "bad_request"
+            assert lines[2] == "answer:b"

@@ -92,12 +92,12 @@ class TestLearnedSessionCheckpoints:
         session = _session_for(artifact)
         _feed(session, series[:50])
 
-        store = CheckpointStore(tmp_path / "ckpt", synchronous=True)
+        store = CheckpointStore(tmp_path / "ckpt")
         store.save("worker-0", session.snapshot())
         store.close()
 
         # The restarted worker reopens the store cold.
-        reopened = CheckpointStore(tmp_path / "ckpt", synchronous=True)
+        reopened = CheckpointStore(tmp_path / "ckpt")
         stored = reopened.load("worker-0")
         assert stored is not None
         revived = PhaseSession.from_snapshot(

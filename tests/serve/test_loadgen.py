@@ -38,14 +38,6 @@ class TestGenerateSeries:
 
 
 class TestValidation:
-    def test_v1_cannot_batch(self):
-        with pytest.raises(ConfigurationError, match="protocol v1"):
-            run_loadgen("127.0.0.1", 1, batch_size=4, protocol=1)
-
-    def test_unknown_protocol_rejected(self):
-        with pytest.raises(ConfigurationError, match="protocol"):
-            run_loadgen("127.0.0.1", 1, protocol=9)
-
     def test_nonpositive_counts_rejected(self):
         with pytest.raises(ConfigurationError, match="sessions"):
             run_loadgen("127.0.0.1", 1, sessions=0)
@@ -132,12 +124,8 @@ class TestRunLoadgen:
         single = run_loadgen(
             "127.0.0.1", sharded, batch_size=1, **kwargs
         )
-        v1 = run_loadgen(
-            "127.0.0.1", sharded, batch_size=1, protocol=1, **kwargs
-        )
-        assert batched.errors == single.errors == v1.errors == 0
+        assert batched.errors == single.errors == 0
         assert batched.outcome_digest == single.outcome_digest
-        assert batched.outcome_digest == v1.outcome_digest
 
     def test_digest_independent_of_connection_count(self, sharded):
         kwargs = dict(sessions=4, samples_per_session=64, batch_size=16)

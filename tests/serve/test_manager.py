@@ -154,7 +154,7 @@ class TestObservability:
 
 
 def _store_manager(tmp_path, cadence=4, **kwargs):
-    store = CheckpointStore(tmp_path, synchronous=True)
+    store = CheckpointStore(tmp_path)
     manager = SessionManager(
         max_sessions=kwargs.pop("max_sessions", 4),
         checkpoint_store=store,
@@ -164,11 +164,17 @@ def _store_manager(tmp_path, cadence=4, **kwargs):
     return store, manager
 
 
+def _stored(store, session_id):
+    """The durable record once the writer thread has caught up."""
+    store.flush()
+    return store.load(session_id)
+
+
 class TestDurableCheckpoints:
     def test_open_writes_the_initial_checkpoint(self, tmp_path):
         store, manager = _store_manager(tmp_path)
         session = manager.open()
-        record = store.load(session.session_id)
+        record = _stored(store, session.session_id)
         assert record is not None
         assert record.checkpoint["samples"] == 0
 
@@ -178,10 +184,10 @@ class TestDurableCheckpoints:
         for index in range(3):
             session.feed(index, 0.02)
             assert manager.maybe_checkpoint(session.session_id) is False
-        assert store.load(session.session_id).checkpoint["samples"] == 0
+        assert _stored(store, session.session_id).checkpoint["samples"] == 0
         session.feed(3, 0.02)
         assert manager.maybe_checkpoint(session.session_id) is True
-        assert store.load(session.session_id).checkpoint["samples"] == 4
+        assert _stored(store, session.session_id).checkpoint["samples"] == 4
         assert (
             manager.metrics.counter("serve.checkpoints_written").value == 2
         )
@@ -196,7 +202,7 @@ class TestDurableCheckpoints:
         store, manager = _store_manager(tmp_path)
         session = manager.open()
         manager.close(session.session_id)
-        assert store.load(session.session_id) is None
+        assert _stored(store, session.session_id) is None
 
     def test_migrated_close_keeps_the_checkpoint(self, tmp_path):
         # The target worker's restore takes ownership of the store
@@ -205,7 +211,7 @@ class TestDurableCheckpoints:
         store, manager = _store_manager(tmp_path)
         session = manager.open()
         manager.close(session.session_id, reason=MIGRATED_CLOSE_REASON)
-        assert store.load(session.session_id) is not None
+        assert _stored(store, session.session_id) is not None
 
     def test_eviction_deletes_the_checkpoint(self, tmp_path):
         store, manager = _store_manager(tmp_path, idle_timeout_s=2)
@@ -213,7 +219,7 @@ class TestDurableCheckpoints:
         for _ in range(5):
             manager.tick()
         assert manager.evict_idle() == [session.session_id]
-        assert store.load(session.session_id) is None
+        assert _stored(store, session.session_id) is None
 
     def test_negative_cadence_rejected(self):
         with pytest.raises(ConfigurationError, match="checkpoint_every"):

@@ -47,6 +47,22 @@ class TestHello:
         response = handle_request(manager, {"op": "hello", "turbo": True})
         assert response["error"] == "bad_request"
 
+    def test_configures_every_session_governor(self, manager):
+        session = hello(
+            manager, governor="markov", markov_order=2, markov_alpha=0.25
+        )
+        checkpoint = handle_request(
+            manager, {"op": "snapshot", "session": session}
+        )["checkpoint"]
+        assert checkpoint["config"]["governor"] == "markov"
+        assert checkpoint["config"]["markov_order"] == 2
+        assert checkpoint["config"]["markov_alpha"] == 0.25
+        tree = hello(manager, governor="learned_tree", history_length=6)
+        checkpoint = handle_request(
+            manager, {"op": "snapshot", "session": tree}
+        )["checkpoint"]
+        assert checkpoint["config"]["history_length"] == 6
+
     def test_rejects_bad_config(self, manager):
         response = handle_request(manager, {"op": "hello", "governor": "x"})
         assert response["error"] == "bad_request"
@@ -148,12 +164,12 @@ class TestSnapshotRestore:
         response = handle_request(manager, {"op": "restore", "checkpoint": 5})
         assert response["error"] == "bad_request"
 
-    def test_snapshot_carries_negotiated_protocol(self, manager):
+    def test_snapshot_carries_no_protocol(self, manager):
         session = hello(manager, protocol=1)
         snapshot = handle_request(
             manager, {"op": "snapshot", "session": session}
         )
-        assert snapshot["protocol"] == 1
+        assert set(snapshot) == {"ok", "op", "session", "checkpoint"}
 
     def test_restore_under_explicit_id(self, manager):
         session = hello(manager)
@@ -204,46 +220,6 @@ class TestSnapshotRestore:
             {"op": "restore", "session": bad_id, "checkpoint": checkpoint},
         )
         assert response["error"] == "bad_request"
-
-    def test_restore_re_pins_the_wire_protocol(self, manager):
-        # Migration path: a v1 session restored on another worker must
-        # stay v1 — the batch op keeps being refused after the move.
-        session = hello(manager, protocol=1)
-        snapshot = handle_request(
-            manager, {"op": "snapshot", "session": session}
-        )
-        handle_request(manager, {"op": "bye", "session": session})
-        restored = handle_request(
-            manager,
-            {
-                "op": "restore",
-                "session": session,
-                "protocol": snapshot["protocol"],
-                "checkpoint": snapshot["checkpoint"],
-            },
-        )
-        assert restored["ok"] is True
-        batch = handle_request(
-            manager,
-            {
-                "op": "sample_batch",
-                "session": session,
-                "start_interval": 0,
-                "samples": [0.02, 0.02],
-            },
-        )
-        assert batch["error"] == "unsupported_protocol"
-
-    def test_restore_rejects_unsupported_protocol_pin(self, manager):
-        session = hello(manager)
-        checkpoint = handle_request(
-            manager, {"op": "snapshot", "session": session}
-        )["checkpoint"]
-        response = handle_request(
-            manager,
-            {"op": "restore", "protocol": 99, "checkpoint": checkpoint},
-        )
-        assert response["error"] == "unsupported_protocol"
 
 
 class TestStatsAndBye:
@@ -407,13 +383,72 @@ class TestSampleBatch:
         assert response["error"] == "unknown_session"
 
 
+#: JSON number texts no finite float holds, by test id: ``json`` reads
+#: ``NaN`` and the infinities as themselves and ``1e400`` as ``inf``,
+#: and the 401-digit integer overflows ``float()``.
+NON_FINITE = {
+    "nan": "NaN",
+    "inf": "Infinity",
+    "-inf": "-Infinity",
+    "1e400": "1e400",
+    "huge_int": "1" + "0" * 400,
+}
+
+#: Request templates placing a value in every number a sample carries.
+NON_FINITE_REQUESTS = {
+    "sample.mem_per_uop": (
+        '{"op":"sample","session":"s1","interval":0,"mem_per_uop":%s}'
+    ),
+    "sample.upc": (
+        '{"op":"sample","session":"s1","interval":0,"mem_per_uop":0.02,'
+        '"upc":%s}'
+    ),
+    "sample_batch.number": (
+        '{"op":"sample_batch","session":"s1","start_interval":0,'
+        '"samples":[0.02,%s]}'
+    ),
+    "sample_batch.pair_mem": (
+        '{"op":"sample_batch","session":"s1","start_interval":0,'
+        '"samples":[0.02,[%s,1.0]]}'
+    ),
+    "sample_batch.pair_upc": (
+        '{"op":"sample_batch","session":"s1","start_interval":0,'
+        '"samples":[[0.02,1.0],[0.02,%s]]}'
+    ),
+}
+
+
+class TestNonFiniteSamples:
+    """A corrupt counter read is a bad request, never a DVFS decision."""
+
+    @pytest.mark.parametrize("value", sorted(NON_FINITE))
+    @pytest.mark.parametrize("request_kind", sorted(NON_FINITE_REQUESTS))
+    def test_rejected_and_session_untouched(
+        self, manager, request_kind, value
+    ):
+        assert hello(manager) == "s1"
+        line = NON_FINITE_REQUESTS[request_kind] % NON_FINITE[value]
+        response = json.loads(handle_line(manager, line))
+        assert response["ok"] is False, response
+        assert response["error"] == "bad_request"
+        stats = handle_request(manager, {"op": "stats", "session": "s1"})
+        assert stats["stats"]["samples"] == 0
+        response = handle_request(
+            manager,
+            {"op": "sample", "session": "s1", "interval": 0, "mem_per_uop": 0.02},
+        )
+        assert response["ok"] is True
+
+
 class TestProtocolNegotiation:
     def test_v1_still_negotiable(self, manager):
         response = handle_request(manager, {"op": "hello", "protocol": 1})
         assert response["ok"] is True
         assert response["protocol"] == 1
 
-    def test_v1_session_cannot_sample_batch(self, manager):
+    def test_v1_session_may_sample_batch(self, manager):
+        # hello checks the version but pins nothing: version 1 lacks
+        # only the batch op, so every session may use it.
         session = hello(manager, protocol=1)
         response = handle_request(
             manager,
@@ -424,8 +459,8 @@ class TestProtocolNegotiation:
                 "samples": [0.001],
             },
         )
-        assert response["ok"] is False
-        assert response["error"] == "unsupported_protocol"
+        assert response["ok"] is True, response
+        assert response["count"] == 1
 
     def test_v1_session_still_samples(self, manager):
         session = hello(manager, protocol=1)

@@ -29,6 +29,7 @@ from repro.serve import (
 )
 from repro.serve.checkpoint import CheckpointStore
 from repro.serve.manager import SessionManager
+from repro.serve.session import PhaseSession
 
 mem_values = st.sampled_from([0.001, 0.011, 0.02, 0.03, 0.045, 0.06])
 
@@ -59,12 +60,13 @@ class TestCrashReplayProperty:
     ):
         kill_at = int(len(series) * cut)
         with tempfile.TemporaryDirectory() as root:
-            store = CheckpointStore(root, synchronous=True)
+            store = CheckpointStore(root)
             manager = SessionManager(
                 max_sessions=4, checkpoint_store=store, checkpoint_every=cadence
             )
             session_id = handle_request(manager, {"op": "hello"})["session"]
             _feed(manager, session_id, series[:kill_at])
+            store.flush()
 
             # Crash: the manager (worker process) is simply abandoned.
             # A replacement adopts the session from its last durable
@@ -85,6 +87,7 @@ class TestCrashReplayProperty:
 
             recovered = successor.get(session_id).snapshot()
             straight = twin.get(twin_id).snapshot()
+            store.close()
             assert recovered == straight
 
 
@@ -338,6 +341,52 @@ class TestMigration:
             # answers unknown_session and the router propagates it.
             missing = client.rpc(op="migrate", session="s999")
             assert missing["error"] == "unknown_session"
+            client.close()
+        finally:
+            server.stop()
+
+
+class TestWorkerBootAdoption:
+    def test_adopts_records_that_carry_a_protocol(self, tmp_path):
+        # Stores written while sessions were pinned to a protocol
+        # version carry a "protocol" key in every record.  Boot adopts
+        # them all, and no adopted session is held to version 1.
+        series = [(0.001, 0.0), (0.02, 0.0), (0.05, 0.0), (0.02, 0.0)]
+        tail = [0.06, 0.001, 0.001]
+        expected = {}
+        for session_id, version in (("s1", 1), ("s4", 1), ("s5", 2), ("s6", None)):
+            session = PhaseSession(session_id=session_id)
+            session.feed_batch(0, series)
+            record = {
+                "checkpoint": session.snapshot(),
+                "protocol": version,
+                "session": session_id,
+            }
+            (tmp_path / f"{session_id}.ckpt.json").write_text(
+                json.dumps(record, sort_keys=True, separators=(",", ":")),
+                encoding="utf-8",
+            )
+            rows = session.feed_batch(
+                len(series), [(value, 0.0) for value in tail]
+            ).rows()
+            expected[session_id] = json.loads(json.dumps(rows))
+        assert {shard_for(session_id, 2) for session_id in expected} == {0, 1}
+
+        server = ShardedServer(
+            workers=2, checkpoint_dir=str(tmp_path), checkpoint_every=4
+        )
+        port = server.start()
+        try:
+            client = _Client(port)
+            for session_id, rows in expected.items():
+                response = client.rpc(
+                    op="sample_batch",
+                    session=session_id,
+                    start_interval=len(series),
+                    samples=tail,
+                )
+                assert response["ok"] is True, response
+                assert response["outcomes"] == rows
             client.close()
         finally:
             server.stop()

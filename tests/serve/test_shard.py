@@ -16,6 +16,7 @@ from repro.serve import (
     worker_ceilings,
 )
 from repro.serve.manager import SessionManager
+from repro.serve.protocol import MAX_LINE_BYTES
 
 
 class TestShardFor:
@@ -265,6 +266,44 @@ class TestShardedServerEndToEnd:
             response = json.loads(client._file.readline())
             assert response["ok"] is False
             assert response["error"] == "bad_request"
+        finally:
+            client.close()
+
+    def test_full_batch_matches_in_process_session(
+        self, sharded, full_batch
+    ):
+        # Request and answer lines are both over asyncio's default
+        # 64 KiB limit, on the client link and on the worker link.
+        server, port = sharded
+        samples, expected = full_batch
+        client = _Client(port)
+        try:
+            session = client.rpc(op="hello")["session"]
+            response = client.rpc(
+                op="sample_batch",
+                session=session,
+                start_interval=0,
+                samples=samples,
+            )
+            assert response["ok"] is True, response
+            assert response["outcomes"] == expected
+            assert client.rpc(op="bye", session=session)["ok"]
+        finally:
+            client.close()
+
+    def test_over_limit_line_answered_once_by_router(self, sharded):
+        server, port = sharded
+        client = _Client(port)
+        try:
+            filler = "0.0123456789," * (2 * MAX_LINE_BYTES // 13)
+            client._file.write(
+                '{"op":"sample_batch","session":"s1","start_interval":0,'
+                '"samples":[' + filler + "0.1]}\n"
+            )
+            client._file.flush()
+            response = json.loads(client._file.readline())
+            assert response["error"] == "bad_request"
+            assert client.rpc(op="stats")["ok"] is True
         finally:
             client.close()
 
