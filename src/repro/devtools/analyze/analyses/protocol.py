@@ -22,10 +22,14 @@ Concretely, against the module whose dotted name ends in
    ``ERROR_CODES``, and every declared code is produced somewhere
    (no phantom codes in the docs/clients);
 5. every op name appears as a string in the ``serve.loadgen`` module —
-   the generator's verify mode is the protocol's executable spec.
+   the generator's verify mode is the protocol's executable spec;
+6. every ``asyncio.start_server``/``asyncio.open_connection`` call in a
+   module under a ``serve`` package passes ``limit=`` — asyncio's
+   default 64 KiB line limit is below the protocol's, and a stream that
+   silently keeps it drops the connection on a legal line.
 
-Projects without a ``serve.protocol`` module (fixture trees for other
-analyses) are skipped entirely.
+Rule 6 runs on any serve package; rules 1-5 skip projects without a
+``serve.protocol`` module (fixture trees for other analyses).
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ ERROR_EMITTERS: Tuple[str, ...] = (
 
 #: Name of the declared error-code registry in the protocol module.
 ERROR_REGISTRY = "ERROR_CODES"
+
+#: asyncio stream openers that must be given an explicit ``limit=``.
+STREAM_OPENERS: Tuple[str, ...] = ("start_server", "open_connection")
 
 
 def _find_ops_table(
@@ -125,6 +132,20 @@ def _emitted_codes(
             yield first.value, node.lineno, node.col_offset
 
 
+def _unlimited_streams(module: ProjectModule) -> Iterator[ast.Call]:
+    """Every ``asyncio`` stream-opener call without a ``limit=``."""
+    for node in ast.walk(module.parsed.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        parts = dotted_parts(node.func)
+        if parts is None or parts[-1] not in STREAM_OPENERS:
+            continue
+        if parts[:-1] not in ((), ("asyncio",)):
+            continue
+        if not any(keyword.arg == "limit" for keyword in node.keywords):
+            yield node
+
+
 def _string_constants(tree: ast.Module) -> Set[str]:
     return {
         node.value
@@ -140,11 +161,13 @@ class ProtocolConformanceAnalysis(Analysis):
     name = "protocol-conformance"
     description = (
         "every wire op dispatched by exactly one _op_<name> handler, "
-        "every error code declared in ERROR_CODES and produced, and "
-        "every op exercised by the load generator"
+        "every error code declared in ERROR_CODES and produced, "
+        "every op exercised by the load generator, and every serve "
+        "stream opened with an explicit limit="
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
+        yield from self._check_stream_limits(project)
         protocol = project.find_suffix("serve.protocol")
         if protocol is None:
             return
@@ -289,6 +312,26 @@ class ProtocolConformanceAnalysis(Analysis):
                     message=(
                         f"declared error code {code!r} is never produced "
                         "by the serve package: phantom protocol surface"
+                    ),
+                )
+
+    # -- stream limits -------------------------------------------------------
+
+    def _check_stream_limits(self, project: Project) -> Iterator[Finding]:
+        for module in project.modules():
+            if "serve" not in module.parts:
+                continue
+            for call in _unlimited_streams(module):
+                opener = ".".join(dotted_parts(call.func) or ())
+                yield self.finding(
+                    path=module.path,
+                    line=call.lineno,
+                    col=call.col_offset,
+                    message=(
+                        f"{opener}() without limit=: the stream keeps "
+                        "asyncio's 64 KiB line limit and drops the "
+                        "connection on a longer legal line; pass "
+                        "limit=MAX_LINE_BYTES"
                     ),
                 )
 

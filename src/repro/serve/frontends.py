@@ -18,6 +18,12 @@ single worker drains the queue sequentially.  Lines longer than
 :data:`~repro.serve.protocol.MAX_LINE_BYTES` are answered with one
 ``bad_request`` and skipped.
 
+Answers leave in bursts: the worker answers a request together with
+every request already queued behind it (what a pipelining client sent
+back to back) and sends their answers with one ``write`` and one
+``drain``, flushing early once :data:`FLUSH_BYTES` are pending.  A
+client with one request in flight gets one write per answer.
+
 Time is taken from an injectable clock (default ``time.monotonic``,
 passed by reference) so idle eviction and latency budgets work on wall
 time in production but can run on a fake clock in tests.
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import IO, Awaitable, Callable, Optional
+from typing import IO, Awaitable, Callable, List, Optional
 
 from repro.serve.manager import SessionManager
 from repro.serve.protocol import (
@@ -49,6 +55,11 @@ DEFAULT_CLOCK: Clock = time.monotonic
 #: Per-connection request-queue depth; when full, the reader stops
 #: consuming and TCP flow control throttles the client.
 DEFAULT_QUEUE_DEPTH = 64
+
+#: Pending answers are written once they reach this many bytes, even in
+#: the middle of a burst.  Equal to asyncio's default transport write
+#: high-water mark, the buffer level at which ``drain()`` starts to wait.
+FLUSH_BYTES = 64 * 1024
 
 #: Queue entry standing for a request line over the stream limit (real
 #: entries are non-empty stripped lines), and the answer it gets.
@@ -111,6 +122,13 @@ async def relay_lines(
     longer than the reader's limit gets one ``bad_request`` answer and
     reading resumes after its newline, so every request line still gets
     exactly one answer.
+
+    The worker answers a request and every request already queued
+    behind it as one burst, and sends the burst's answers with one
+    ``write`` and one ``drain`` — more than one once :data:`FLUSH_BYTES`
+    are pending.  With one request in flight that is one write per
+    answer.  Answers computed before end of stream, or before ``answer``
+    raises, are still written.
     """
     queue: "asyncio.Queue[Optional[str]]" = asyncio.Queue(maxsize=queue_depth)
 
@@ -137,13 +155,32 @@ async def relay_lines(
             await queue.put(None)
 
     async def answer_requests() -> None:
-        while True:
-            line = await queue.get()
-            if line is None:
-                break
-            response = await answer(line) if line else _OVERSIZED_ANSWER
-            writer.write((response + "\n").encode("utf-8"))
-            await writer.drain()
+        pending: List[bytes] = []
+        pending_bytes = 0
+        try:
+            while True:
+                line = await queue.get()
+                # The burst is this line and the ones queued behind it
+                # now.  Each leaves the queue only when its turn comes,
+                # so the queue bound keeps its meaning.
+                for behind in range(queue.qsize(), -1, -1):
+                    if line is None:
+                        return
+                    response = await answer(line) if line else _OVERSIZED_ANSWER
+                    data = (response + "\n").encode("utf-8")
+                    pending.append(data)
+                    pending_bytes += len(data)
+                    if not behind or pending_bytes >= FLUSH_BYTES:
+                        writer.write(b"".join(pending))
+                        pending.clear()
+                        pending_bytes = 0
+                        await writer.drain()
+                    if behind:
+                        line = queue.get_nowait()
+        finally:
+            if pending:
+                # Closing the writer below flushes these.
+                writer.write(b"".join(pending))
 
     read_task = asyncio.ensure_future(read_requests())
     try:

@@ -22,6 +22,7 @@ clock that advances one unit per handled request, keeping every test
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -75,7 +76,10 @@ class SessionManager:
         idle_timeout_s: Evict sessions untouched for this long; ``None``
             disables eviction.  Measured on ``clock`` when provided,
             otherwise on the logical request clock (one unit per
-            request).
+            request).  The sweep the dispatcher runs on every request
+            is O(1) until an eviction can be due: it scans the sessions
+            only once a lower bound on their last use is past the
+            timeout, and then evicts what a full scan would.
         clock: Injectable time source shared with every session it
             creates; ``None`` keeps the manager fully deterministic.
         tracer: Trace collector for session lifecycle events.
@@ -130,6 +134,11 @@ class SessionManager:
         self._checkpoint_store = checkpoint_store
         self._checkpoint_every = checkpoint_every
         self._sessions: Dict[str, _Entry] = {}
+        # At most every live entry's last_used (lowered on registration
+        # and in get(), so a clock stepping backwards cannot hide an
+        # expiry; recomputed after each full scan).  evict_idle() skips
+        # its scan while even this bound is within the timeout.
+        self._last_used_floor = math.inf
         self._next_id = 1
         self._requests = 0
 
@@ -286,7 +295,10 @@ class SessionManager:
         return True
 
     def _register(self, session: PhaseSession) -> PhaseSession:
-        self._sessions[session.session_id] = _Entry(session, self.now())
+        now = self.now()
+        self._sessions[session.session_id] = _Entry(session, now)
+        if now < self._last_used_floor:
+            self._last_used_floor = now
         if self._checkpoint_store is not None:
             # Initial checkpoint, on disk before the open is answered:
             # from then on the session survives a worker death with a
@@ -322,7 +334,10 @@ class SessionManager:
                 f"unknown session {session_id!r} (closed, evicted or never "
                 "opened)"
             )
-        entry.last_used = self.now()
+        now = self.now()
+        entry.last_used = now
+        if now < self._last_used_floor:
+            self._last_used_floor = now
         return entry.session
 
     def close(self, session_id: str, reason: str = "bye") -> PhaseSession:
@@ -343,14 +358,21 @@ class SessionManager:
         return entry.session
 
     def evict_idle(self) -> List[str]:
-        """Close every session idle past the timeout; returns their ids."""
-        if self._idle_timeout_s is None:
+        """Close every session idle past the timeout; returns their ids.
+
+        Returns at once while no session can have expired, that is,
+        while the lower bound on their last use is within the timeout.
+        """
+        timeout = self._idle_timeout_s
+        if timeout is None:
             return []
         now = self.now()
+        if now - self._last_used_floor <= timeout:
+            return []
         expired = [
             session_id
             for session_id, entry in self._sessions.items()
-            if now - entry.last_used > self._idle_timeout_s
+            if now - entry.last_used > timeout
         ]
         for session_id in expired:
             entry = self._sessions.pop(session_id)
@@ -358,6 +380,10 @@ class SessionManager:
                 self._checkpoint_store.delete(session_id)
             self._metrics.counter("serve.sessions_evicted").inc()
             self._note_closed(entry.session, "evicted")
+        self._last_used_floor = min(
+            (entry.last_used for entry in self._sessions.values()),
+            default=math.inf,
+        )
         return expired
 
     def _note_closed(self, session: PhaseSession, reason: str) -> None:

@@ -875,7 +875,16 @@ class ShardedServer:
                 upstream_reader, upstream_writer = link
                 upstream_writer.write((line + "\n").encode("utf-8"))
                 await upstream_writer.drain()
-                raw = await upstream_reader.readline()
+                try:
+                    raw = await upstream_reader.readline()
+                except ValueError:
+                    # readline's form of LimitOverrunError: the answer is
+                    # longer than the link carries.  The link is left
+                    # mid-line, so drop it; the next request opens a
+                    # fresh one.
+                    links.pop(worker, None)
+                    upstream_writer.close()
+                    return self._answer_too_long(worker)
                 if not raw:
                     raise ConnectionError("worker closed the connection")
                 return raw.decode("utf-8", errors="replace").rstrip("\n")
@@ -893,6 +902,17 @@ class ShardedServer:
                 break
         self._note_worker_down(worker, last_error)
         return self._unavailable(worker)
+
+    @staticmethod
+    def _answer_too_long(worker: int) -> str:
+        return serialize_response(
+            error_response(
+                "internal",
+                f"worker {worker} answered with a line over the "
+                f"{MAX_LINE_BYTES}-byte limit the router relays; the "
+                "request reached the worker but its answer is lost",
+            )
+        )
 
     def _unavailable(self, worker: int) -> str:
         recovering = worker in self._recovering

@@ -1,0 +1,76 @@
+"""The docs quote the committed batch-throughput artifacts.
+
+Each passage below quotes one artifact in ``benchmarks/results``: every
+speedup (``4.82×``) and every rate (``128,217.6 samples/s``) it carries
+must be that artifact's, so a regenerated artifact or a hand-edited doc
+cannot drift apart unnoticed.
+"""
+
+import json
+import re
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[2]
+RESULTS = REPO / "benchmarks" / "results"
+
+#: A speedup quote (``4.82×``, ``**6.0x**``, ``6x``), not a size (``8x128``).
+SPEEDUP = re.compile(r"(?<![\w.])(\d+(?:\.\d+)?)\s?[x×](?!\w)")
+
+#: A rate quote (``128,217.6 samples/s``, ``~730k samples/s``).
+RATE = re.compile(r"(?<![\w.,])(\d[\d,]*(?:\.\d+)?)(k?) samples/s")
+
+#: (doc, text that finds the passage, artifact, quoted figure): a
+#: passage is the paragraph holding the text, or its row in a table.
+PASSAGES = (
+    ("docs/performance.md", "REPRO_BENCH_ENFORCE=1",
+     "batch_feed_throughput", "speedup_target"),
+    ("docs/performance.md", "| `PhaseSession.feed_batch`",
+     "batch_feed_throughput", "speedup"),
+    ("docs/performance.md", "| `evaluate_predictor_batch`",
+     "batch_evaluator_throughput", "speedup"),
+    ("docs/serving.md", "`PhaseSession.feed_batch` sustains",
+     "batch_feed_throughput", "speedup"),
+    ("README.md", "session feed throughput",
+     "batch_feed_throughput", "speedup"),
+)
+
+
+def _passage(text, anchor):
+    for block in text.split("\n\n"):
+        if anchor not in block:
+            continue
+        if block.lstrip().startswith("|"):
+            return next(line for line in block.splitlines() if anchor in line)
+        return block
+    raise AssertionError(f"no passage holds {anchor!r}")
+
+
+def test_docs_quote_the_committed_speedups():
+    mismatches = []
+    for doc, anchor, artifact, figure in PASSAGES:
+        result = json.loads((RESULTS / f"{artifact}.json").read_text())
+        measured = result["measured"]
+        expected = (
+            result["parameters"]["speedup_target"]
+            if figure == "speedup_target"
+            else measured["speedup"]
+        )
+        rates = {
+            measured["scalar_samples_per_s"],
+            measured["batch_samples_per_s"],
+        }
+        passage = _passage((REPO / doc).read_text(encoding="utf-8"), anchor)
+        quoted = [float(value) for value in SPEEDUP.findall(passage)]
+        if not quoted or any(value != expected for value in quoted):
+            mismatches.append(
+                f"{doc}: {anchor!r} quotes {quoted}x, {artifact} "
+                f"{figure} is {expected}x"
+            )
+        for digits, thousands in RATE.findall(passage):
+            rate = float(digits.replace(",", "")) * (1000 if thousands else 1)
+            if rate not in rates:
+                mismatches.append(
+                    f"{doc}: {anchor!r} quotes {rate:,} samples/s, "
+                    f"{artifact} has {sorted(rates)}"
+                )
+    assert mismatches == [], "\n".join(mismatches)

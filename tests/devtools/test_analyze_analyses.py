@@ -327,6 +327,26 @@ class TestProtocolConformance:
         findings = _findings(ProtocolConformanceAnalysis(), sources)
         assert any("duplicate _OPS key" in f.message for f in findings)
 
+    def test_serve_stream_without_limit_is_flagged(self):
+        dial = (
+            "import asyncio\n"
+            "async def dial(port):\n"
+            "    return await asyncio.open_connection('h', port)\n"
+        )
+        sources = {
+            "app.serve.link": dial + (
+                "async def bounded(port):\n"
+                "    return await asyncio.open_connection(\n"
+                "        'h', port, limit=1 << 19\n"
+                "    )\n"
+            ),
+            "app.tools.link": dial,  # outside the serve tier
+        }
+        findings = _findings(ProtocolConformanceAnalysis(), sources)
+        assert len(findings) == 1
+        assert findings[0].line == 3
+        assert "asyncio.open_connection() without limit=" in findings[0].message
+
 
 class TestEngineOnFixtures:
     def test_bad_project_has_one_finding_per_domain(self):

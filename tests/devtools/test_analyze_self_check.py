@@ -127,3 +127,28 @@ class TestMutationCatchesBlockingHandler:
         assert finding.line == expected_line
         assert "time.sleep" in finding.message
         assert report.exit_code == 1
+
+
+class TestMutationCatchesUnboundedStream:
+    """A serve stream opened without ``limit=`` must be flagged."""
+
+    def test_dropped_limit_is_flagged_at_its_call(self, tmp_path):
+        source = FRONTENDS.read_text()
+        mutated = source.replace(", limit=MAX_LINE_BYTES", "")
+        assert mutated != source, "frontends.py no longer passes limit="
+        serve = tmp_path / "serve"
+        serve.mkdir()
+        (serve / "__init__.py").write_text("")
+        (serve / "frontends.py").write_text(mutated)
+        report = AnalyzeEngine().run([str(tmp_path)])
+        assert len(report.findings) == 1
+        finding = report.findings[0]
+        assert finding.rule == "protocol-conformance"
+        assert finding.path.endswith("frontends.py")
+        assert finding.line == next(
+            number
+            for number, line in enumerate(mutated.splitlines(), start=1)
+            if "asyncio.start_server(" in line
+        )
+        assert "limit=" in finding.message
+        assert report.exit_code == 1

@@ -5,7 +5,7 @@ import io
 import json
 
 from repro.serve import SessionManager, serve_stdio, serve_tcp_async
-from repro.serve.frontends import relay_lines
+from repro.serve.frontends import FLUSH_BYTES, relay_lines
 from repro.serve.protocol import MAX_LINE_BYTES
 
 
@@ -179,12 +179,14 @@ class TestTCP:
 
 
 class _Sink:
-    """Stand-in stream writer collecting answer lines."""
+    """Stand-in stream writer collecting answer lines and each write."""
 
     def __init__(self):
         self.lines = []
+        self.writes = []
 
     def write(self, data):
+        self.writes.append(bytes(data))
         self.lines.extend(data.decode().splitlines())
 
     async def drain(self):
@@ -237,8 +239,9 @@ class TestLineLimit:
 
     def test_relay_answers_each_over_limit_line_once(self):
         # Both ways a line can overrun the reader: whole in the buffer
-        # (newline found past the limit), or still arriving when the
-        # buffer fills (no newline yet).
+        # (newline found past the limit; the three lines are then
+        # answered as one burst), or still arriving when the buffer
+        # fills (no newline yet).
         limit = 64
 
         async def relay(chunks):
@@ -257,7 +260,7 @@ class TestLineLimit:
             feeder = asyncio.ensure_future(feed())
             await relay_lines(reader, sink, answer)
             await feeder
-            return sink.lines
+            return sink
 
         long_line = b"x" * (3 * limit)
         whole = asyncio.run(relay([b"a\n" + long_line + b"\nb\n"]))
@@ -265,8 +268,95 @@ class TestLineLimit:
             relay([b"a\n", long_line[:limit * 2], long_line[limit * 2:],
                    b"\nb\n"])
         )
-        for lines in (whole, split):
+        assert len(whole.writes) == 1
+        for lines in (whole.lines, split.lines):
             assert len(lines) == 3, lines
             assert lines[0] == "answer:a"
             assert json.loads(lines[1])["error"] == "bad_request"
             assert lines[2] == "answer:b"
+
+
+async def _echo(line):
+    return "answer:" + line
+
+
+async def _relay_burst(lines, answer=_echo, eof=False):
+    """Relay ``lines``, all in the reader's buffer before the relay starts.
+
+    The reader queues every line before the answering side first runs,
+    as it does with a round that a pipelining client sent back to back.
+    With ``eof`` the end of stream is in the buffer too; otherwise it
+    arrives once every line is answered.  Returns the sink and what
+    ``relay_lines`` raised, if anything.
+    """
+    reader = asyncio.StreamReader()
+    reader.feed_data(b"".join(line + b"\n" for line in lines))
+    if eof:
+        reader.feed_eof()
+    sink = _Sink()
+    relay = asyncio.ensure_future(relay_lines(reader, sink, answer))
+    while not eof and len(sink.lines) < len(lines) and not relay.done():
+        await asyncio.sleep(0)
+    reader.feed_eof()
+    try:
+        await relay
+    except RuntimeError as error:
+        return sink, error
+    return sink, None
+
+
+class TestBurstWrites:
+    def test_pipelined_burst_is_answered_with_one_write(self):
+        lines = [b"r%d" % index for index in range(32)]
+        sink, error = asyncio.run(_relay_burst(lines))
+        assert error is None
+        assert sink.lines == ["answer:r%d" % index for index in range(32)]
+        assert len(sink.writes) == 1
+
+    def test_one_request_in_flight_gets_one_write_per_answer(self):
+        async def one_at_a_time():
+            reader = asyncio.StreamReader()
+            sink = _Sink()
+            relay = asyncio.ensure_future(relay_lines(reader, sink, _echo))
+            for index in range(3):
+                reader.feed_data(b"q%d\n" % index)
+                while len(sink.lines) <= index:
+                    await asyncio.sleep(0)
+            reader.feed_eof()
+            await relay
+            return sink.writes
+
+        writes = asyncio.run(one_at_a_time())
+        assert writes == [b"answer:q0\n", b"answer:q1\n", b"answer:q2\n"]
+
+    def test_answers_past_flush_bytes_split_across_writes(self):
+        size = 10_000
+
+        async def padded(line):
+            return line.ljust(size, "x")
+
+        lines = [b"r%02d" % index for index in range(20)]
+        sink, error = asyncio.run(_relay_burst(lines, answer=padded))
+        assert error is None
+        assert sink.lines == [line.decode().ljust(size, "x") for line in lines]
+        # A write goes out once the pending answers reach FLUSH_BYTES:
+        # 7 answers of 10,001 bytes do, 6 do not.
+        assert [data.count(b"\n") for data in sink.writes] == [7, 7, 6]
+        assert all(len(data) < FLUSH_BYTES + size + 1 for data in sink.writes)
+
+    def test_answers_before_a_raise_are_written(self):
+        async def fails_on_boom(line):
+            if line == "boom":
+                raise RuntimeError("answer failed")
+            return "answer:" + line
+
+        lines = [b"a", b"b", b"boom", b"c"]
+        sink, error = asyncio.run(_relay_burst(lines, answer=fails_on_boom))
+        assert isinstance(error, RuntimeError)
+        assert sink.lines == ["answer:a", "answer:b"]
+
+    def test_end_of_stream_inside_a_burst(self):
+        lines = [b"a", b"b", b"c"]
+        sink, error = asyncio.run(_relay_burst(lines, eof=True))
+        assert error is None
+        assert sink.lines == ["answer:a", "answer:b", "answer:c"]

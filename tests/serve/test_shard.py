@@ -15,6 +15,7 @@ from repro.serve import (
     shard_for,
     worker_ceilings,
 )
+from repro.serve import shard as shard_module
 from repro.serve.manager import SessionManager
 from repro.serve.protocol import MAX_LINE_BYTES
 
@@ -306,6 +307,41 @@ class TestShardedServerEndToEnd:
             assert client.rpc(op="stats")["ok"] is True
         finally:
             client.close()
+
+
+class TestWorkerAnswerOverrun:
+    """A worker answer longer than the router's line limit.
+
+    The router cannot carry it: it answers ``internal`` naming the
+    limit, drops the worker link it left mid-line, and the next request
+    on the same client connection opens a fresh link.
+    """
+
+    def test_answers_internal_and_reopens_the_link(self, monkeypatch):
+        # At 2 KiB a 200-row batch answer is over the limit while the
+        # request (short sample values) is not.
+        monkeypatch.setattr(shard_module, "MAX_LINE_BYTES", 2048)
+        server = ShardedServer(workers=2, max_sessions=8)
+        port = server.start()
+        client = _Client(port)
+        try:
+            session = client.rpc(op="hello")["session"]
+            response = client.rpc(
+                op="sample_batch",
+                session=session,
+                start_interval=0,
+                samples=[0.05] * 200,
+            )
+            assert response["ok"] is False, response
+            assert response["error"] == "internal"
+            assert "2048-byte limit" in response["message"]
+            stats = client.rpc(op="stats", session=session)
+            assert stats["ok"] is True, stats
+            assert stats["stats"]["samples"] == 200
+            assert client.rpc(op="bye", session=session)["ok"] is True
+        finally:
+            client.close()
+            server.stop()
 
 
 class TestWorkerDeath:
