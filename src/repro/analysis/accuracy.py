@@ -118,9 +118,10 @@ def evaluate_predictor_batch(
     Classifies the whole series in one :meth:`PhaseTable.classify_batch`
     call and drives the predictor through its fused
     :meth:`PhasePredictor.predict_batch` cycle, so kernelized predictors
-    (GPHT, last-value, fixed-window) skip all per-sample Python
-    dispatch; every other predictor transparently runs the scalar-loop
-    default and still produces the same :class:`PredictionResult`.
+    (GPHT, last-value, fixed-window, variable-window) skip all
+    per-sample Python dispatch; every other predictor transparently
+    runs the scalar-loop default and still produces the same
+    :class:`PredictionResult`.
 
     When ``tracer`` is enabled the evaluation delegates to the scalar
     :func:`evaluate_predictor`, which stamps per-interval trace events —

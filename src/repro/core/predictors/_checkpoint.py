@@ -12,6 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.predictors.base import PredictorState
 from repro.errors import ConfigurationError
+from repro.numerics import finite_float
 
 
 def check_kind(state: PredictorState, kind: str) -> None:
@@ -49,10 +50,13 @@ def as_opt_int(value: object, label: str) -> Optional[int]:
 
 
 def as_float(value: object, label: str) -> float:
-    """Narrow a checkpoint scalar to float (ints promote losslessly)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{label} must be a number, got {value!r}")
-    return float(value)
+    """Narrow a checkpoint scalar to a finite float."""
+    number = finite_float(value)
+    if number is None:
+        raise ConfigurationError(
+            f"{label} must be a finite number, got {value!r}"
+        )
+    return number
 
 
 def int_list(state: PredictorState, key: str) -> List[int]:

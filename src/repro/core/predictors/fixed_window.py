@@ -16,7 +16,7 @@ lists:
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Deque, Dict, List, Sequence
+from typing import Deque, Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.predictors.base import (
     PhaseObservation,
@@ -26,6 +26,73 @@ from repro.core.predictors.base import (
 from repro.errors import ConfigurationError
 
 _SELECTORS = ("majority", "mean")
+
+
+def majority(window: Sequence[int]) -> int:
+    """The most frequent phase in a non-empty ``window``.
+
+    Ties go to the most recently observed of the tied phases.
+    """
+    counts = Counter(window)
+    best_count = max(counts.values())
+    tied = {phase for phase, n in counts.items() if n == best_count}
+    if len(tied) == 1:
+        return next(iter(tied))
+    for phase in reversed(window):
+        if phase in tied:
+            return phase
+    raise AssertionError("unreachable: tie set drawn from the window")
+
+
+def slide_majority(
+    window: Iterable[int],
+    size: int,
+    phases: Sequence[int],
+    restarts: Sequence[int] = (),
+) -> Tuple[List[int], List[int]]:
+    """Batch kernel of :func:`majority` over a sliding window.
+
+    Appends each of ``phases`` to ``window`` in turn, keeping at most
+    ``size`` entries, and returns the majority after every append plus
+    the window left at the end.  ``restarts`` lists ascending indices
+    into ``phases`` at which the window is emptied before that phase
+    is added.
+
+    Keeps running counts plus last-occurrence positions.  The tie-break
+    is exactly :func:`majority`'s reversed-window scan: that scan
+    returns the tied phase whose latest occurrence index is greatest.
+    """
+    sequence = list(window)
+    left = 0
+    counts: Dict[int, int] = dict(Counter(sequence))
+    last_pos: Dict[int, int] = {phase: i for i, phase in enumerate(sequence)}
+    cuts = iter([len(sequence) + index for index in restarts])
+    cut = next(cuts, -1)
+    predictions: List[int] = []
+    append = predictions.append
+    for index, phase in enumerate(phases, len(sequence)):
+        if index == cut:
+            counts.clear()
+            left = index
+            cut = next(cuts, -1)
+        sequence.append(phase)
+        counts[phase] = counts.get(phase, 0) + 1
+        last_pos[phase] = index
+        if index + 1 - left > size:
+            evicted = sequence[left]
+            remaining = counts[evicted] - 1
+            if remaining:
+                counts[evicted] = remaining
+            else:
+                del counts[evicted]
+            left += 1
+        best_count = max(counts.values())
+        tied = [p for p, n in counts.items() if n == best_count]
+        if len(tied) == 1:
+            append(tied[0])
+        else:
+            append(max(tied, key=last_pos.__getitem__))
+    return predictions, sequence[left:]
 
 
 class FixedWindowPredictor(PhasePredictor):
@@ -67,19 +134,7 @@ class FixedWindowPredictor(PhasePredictor):
             return self.DEFAULT_PHASE
         if self._selector == "mean":
             return round(sum(self._window) / len(self._window))
-        return self._majority()
-
-    def _majority(self) -> int:
-        counts = Counter(self._window)
-        best_count = max(counts.values())
-        tied = {phase for phase, n in counts.items() if n == best_count}
-        if len(tied) == 1:
-            return next(iter(tied))
-        # Tie break: the most recently observed among the tied phases.
-        for phase in reversed(self._window):
-            if phase in tied:
-                return phase
-        raise AssertionError("unreachable: tie set drawn from the window")
+        return majority(self._window)
 
     def observe_batch(
         self, phases: Sequence[int], mem_values: Sequence[float]
@@ -92,23 +147,19 @@ class FixedWindowPredictor(PhasePredictor):
     ) -> List[int]:
         """Batch kernel for the fused observe/predict cycle.
 
-        Slides incrementally over ``existing window + phases`` with a
-        running sum (``"mean"``) or running counts plus
-        last-occurrence positions (``"majority"``).  The majority
-        tie-break — most recently observed among the tied phases — is
-        exactly the scalar reversed-window scan: that scan returns the
-        tied phase whose latest occurrence index is greatest.  The
-        scalar predictor emits no trace events, so the kernel holds
-        with or without a tracer bound.
+        Slides incrementally over ``existing window + phases``: a
+        running sum for ``"mean"``, :func:`slide_majority` for
+        ``"majority"``.  The scalar predictor emits no trace events, so
+        the kernel holds with or without a tracer bound.
         """
         if not len(phases):
             return []
         size = self._window_size
-        sequence = list(self._window)
-        left = 0
-        predictions: List[int] = []
-        append = predictions.append
         if self._selector == "mean":
+            sequence = list(self._window)
+            left = 0
+            predictions: List[int] = []
+            append = predictions.append
             total = sum(sequence)
             for phase in phases:
                 sequence.append(phase)
@@ -117,31 +168,10 @@ class FixedWindowPredictor(PhasePredictor):
                     total -= sequence[left]
                     left += 1
                 append(round(total / (len(sequence) - left)))
+            window = sequence[left:]
         else:
-            counts: Dict[int, int] = dict(Counter(sequence))
-            last_pos: Dict[int, int] = {
-                phase: i for i, phase in enumerate(sequence)
-            }
-            for phase in phases:
-                index = len(sequence)
-                sequence.append(phase)
-                counts[phase] = counts.get(phase, 0) + 1
-                last_pos[phase] = index
-                if index + 1 - left > size:
-                    evicted = sequence[left]
-                    remaining = counts[evicted] - 1
-                    if remaining:
-                        counts[evicted] = remaining
-                    else:
-                        del counts[evicted]
-                    left += 1
-                best_count = max(counts.values())
-                tied = [p for p, n in counts.items() if n == best_count]
-                if len(tied) == 1:
-                    append(tied[0])
-                else:
-                    append(max(tied, key=last_pos.__getitem__))
-        self._window = deque(sequence[left:], maxlen=size)
+            predictions, window = slide_majority(self._window, size, phases)
+        self._window = deque(window, maxlen=size)
         return predictions
 
     def reset(self) -> None:

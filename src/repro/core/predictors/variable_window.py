@@ -14,8 +14,8 @@ resets — behaves like a long majority window).
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from typing import Deque, Optional
+from collections import deque
+from typing import Deque, List, Optional, Sequence
 
 from repro.core.predictors._checkpoint import (
     as_float,
@@ -28,6 +28,7 @@ from repro.core.predictors.base import (
     PhasePredictor,
     PredictorState,
 )
+from repro.core.predictors.fixed_window import majority, slide_majority
 from repro.errors import ConfigurationError
 
 
@@ -76,15 +77,35 @@ class VariableWindowPredictor(PhasePredictor):
     def predict(self) -> int:
         if not self._window:
             return self.DEFAULT_PHASE
-        counts = Counter(self._window)
-        best_count = max(counts.values())
-        tied = {phase for phase, n in counts.items() if n == best_count}
-        if len(tied) == 1:
-            return next(iter(tied))
-        for phase in reversed(self._window):
-            if phase in tied:
-                return phase
-        raise AssertionError("unreachable: tie set drawn from the window")
+        return majority(self._window)
+
+    def predict_batch(
+        self, phases: Sequence[int], mem_values: Sequence[float]
+    ) -> List[int]:
+        """Batch kernel for the fused observe/predict cycle.
+
+        Finds the samples whose ``Mem/Uop`` moved by more than the
+        threshold from the sample before (the first compares against
+        the stored last metric), then runs the fixed window's
+        :func:`slide_majority` with the window restarting at each.  The
+        scalar predictor emits no trace events, so the kernel holds
+        with or without a tracer bound.
+        """
+        if not len(phases):
+            return []
+        threshold = self._threshold
+        previous = self._last_metric
+        restarts: List[int] = []
+        for index, value in enumerate(mem_values):
+            if previous is not None and abs(value - previous) > threshold:
+                restarts.append(index)
+            previous = value
+        predictions, window = slide_majority(
+            self._window, self._window_size, phases, restarts
+        )
+        self._window = deque(window, maxlen=self._window_size)
+        self._last_metric = previous
+        return predictions
 
     def reset(self) -> None:
         self._window.clear()

@@ -18,12 +18,17 @@ Three kinds cover the paper's evaluation space:
 Per-process series/trace memoisation: within one sweep a benchmark's
 trace is generated exactly once per process and shared by every cell
 that replays it (series generation costs ~6x a predictor evaluation),
-regardless of how many PHT sizes or governors cross it.
+regardless of how many PHT sizes or governors cross it.  The same holds
+for a trace's pinned-fastest baseline run: every ``comparison`` cell on
+that trace compares against one baseline, of which only the totals are
+kept.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+from collections import Counter, OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple, Union, cast
 
 import numpy as np
@@ -42,7 +47,7 @@ from repro.core.phases import PhaseTable
 from repro.core.predictors import GPHTPredictor, PhasePredictor, paper_predictor_suite
 from repro.cpu.frequency import SpeedStepTable
 from repro.errors import ConfigurationError
-from repro.exec.spec import ExperimentSpec
+from repro.exec.spec import ExperimentSpec, MachineConfig
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.system.metrics import ComparisonMetrics, RunResult
 from repro.workloads.segments import WorkloadTrace
@@ -118,10 +123,44 @@ def _trace(
     return benchmark(benchmark_name).trace(n_intervals=n_intervals, seed=seed)
 
 
+#: Baseline runs kept per process; least recently used evicted first,
+#: as in the trace memo.
+BASELINE_MEMO_SIZE = 64
+
+#: Pinned-fastest baselines by (machine, benchmark, length, seed).
+_baselines: OrderedDict[
+    Tuple[MachineConfig, str, int, Optional[int]], RunResult
+] = OrderedDict()
+_baseline_counts: Counter[str] = Counter()
+
+
+def _baseline(spec: ExperimentSpec, trace: WorkloadTrace) -> RunResult:
+    """``trace``'s pinned-fastest baseline run, made once per process.
+
+    Only the run's totals are kept: a comparison reads nothing else
+    from its baseline, so the per-interval log is dropped.
+    """
+    key = (spec.machine, spec.benchmark, spec.n_intervals, spec.seed)
+    baseline = _baselines.get(key)
+    if baseline is not None:
+        _baselines.move_to_end(key)
+        _baseline_counts["reused"] += 1
+        return baseline
+    machine = spec.machine.build()
+    run = machine.run(trace, StaticGovernor(machine.speedstep.fastest))
+    baseline = _baselines[key] = dataclasses.replace(run, intervals=())
+    _baseline_counts["run"] += 1
+    if len(_baselines) > BASELINE_MEMO_SIZE:
+        _baselines.popitem(last=False)
+    return baseline
+
+
 def clear_workload_memos() -> None:
-    """Drop the per-process series/trace memos (test isolation hook)."""
+    """Drop the series, trace and baseline memos (test isolation hook)."""
     _mem_series.cache_clear()
     _trace.cache_clear()
+    _baselines.clear()
+    _baseline_counts.clear()
 
 
 def workload_memo_stats() -> Dict[str, int]:
@@ -133,6 +172,8 @@ def workload_memo_stats() -> Dict[str, int]:
         "series_reused": series_info.hits,
         "traces_generated": trace_info.misses,
         "traces_reused": trace_info.hits,
+        "baselines_run": _baseline_counts["run"],
+        "baselines_reused": _baseline_counts["reused"],
     }
 
 
@@ -283,10 +324,14 @@ def comparison_summary(
 def _cell_comparison(
     spec: ExperimentSpec, tracer: Tracer = NULL_TRACER
 ) -> CellValue:
-    """Baseline-vs-managed machine runs under a named governor.
+    """A managed machine run under a named governor, against the
+    trace's pinned-fastest baseline.
 
-    Only the managed run is traced — the baseline is pinned fastest and
-    makes no decisions worth recording.
+    The baseline is shared: it runs once per process for each machine,
+    benchmark, length and seed, and every governor and policy crossing
+    that trace compares against it, as in
+    :func:`repro.system.experiment.compare_governors`.  Only the managed
+    run is traced — the baseline makes no decisions worth recording.
     """
     governor_name = spec.param("governor", "gpht")
     policy_name = spec.param("policy", "table2")
@@ -296,10 +341,9 @@ def _cell_comparison(
         )
     gphr_depth = int(cast(int, spec.param("gphr_depth", 8)))
     pht_entries = int(cast(int, spec.param("pht_entries", 128)))
-    machine = spec.machine.build()
     trace = _trace(spec.benchmark, spec.n_intervals, spec.seed)
-    baseline = machine.run(trace, StaticGovernor(machine.speedstep.fastest))
-    managed = machine.run(
+    baseline = _baseline(spec, trace)
+    managed = spec.machine.build().run(
         trace,
         build_governor(governor_name, policy_name, gphr_depth, pht_entries),
         tracer=tracer,

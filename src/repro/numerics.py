@@ -13,6 +13,7 @@ guards behave identically everywhere.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 #: Absolute tolerance below which an accumulated physical quantity
 #: (seconds, joules, watts) is treated as zero.  Far below one PMI
@@ -34,3 +35,18 @@ def approx_equal(
 ) -> bool:
     """Tolerance-aware float equality (symmetric, like ``math.isclose``)."""
     return math.isclose(a, b, rel_tol=rel_tolerance, abs_tol=abs_tolerance)
+
+
+def finite_float(value: object) -> Optional[float]:
+    """``value`` as a finite float, or ``None`` when it is not one.
+
+    Booleans, non-numbers, NaN, the infinities (``json`` reads ``1e400``
+    as ``inf``) and integers too large for a float are all ``None``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None

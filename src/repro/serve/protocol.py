@@ -65,10 +65,10 @@ from __future__ import annotations
 
 import json
 import re
-from math import isfinite
 from typing import Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
+from repro.numerics import finite_float
 from repro.serve.checkpoint import validate_checkpoint
 from repro.serve.manager import (
     OverloadedError,
@@ -157,24 +157,9 @@ def _require_int(payload: Mapping[str, object], key: str) -> int:
     return value
 
 
-def _finite(value: object) -> Optional[float]:
-    """``value`` as a finite float, or ``None`` when it is not one.
-
-    Booleans, non-numbers, NaN, the infinities (``json`` reads ``1e400``
-    as ``inf``) and integers too large for a float are all ``None``.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:
-        return None
-    return number if isfinite(number) else None
-
-
 def _require_number(payload: Mapping[str, object], key: str) -> float:
     value = _require(payload, key)
-    number = _finite(value)
+    number = finite_float(value)
     if number is None:
         raise _ProtocolError(
             "bad_request",
@@ -311,11 +296,11 @@ def _parse_batch_sample(element: object, index: int) -> Tuple[float, float]:
     """Normalize one ``samples`` array element to ``(mem_per_uop, upc)``."""
     upc: Optional[float] = 0.0
     if isinstance(element, list) and 1 <= len(element) <= 2:
-        mem = _finite(element[0])
+        mem = finite_float(element[0])
         if len(element) == 2:
-            upc = _finite(element[1])
+            upc = finite_float(element[1])
     else:
-        mem = _finite(element)
+        mem = finite_float(element)
     if mem is None or upc is None:
         raise _ProtocolError(
             "bad_request",

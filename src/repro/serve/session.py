@@ -53,6 +53,7 @@ from repro.core.predictors import (
     PhasePredictor,
 )
 from repro.errors import ConfigurationError
+from repro.numerics import finite_float
 from repro.obs.events import SessionDegraded
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -191,21 +192,21 @@ class SessionConfig:
                     )
                 kwargs[key] = value
         if "markov_alpha" in payload:
-            alpha = payload["markov_alpha"]
-            if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+            alpha = finite_float(payload["markov_alpha"])
+            if alpha is None:
                 raise ConfigurationError(
-                    f"markov_alpha must be a number, got {alpha!r}"
+                    "markov_alpha must be a finite number, got "
+                    f"{payload['markov_alpha']!r}"
                 )
-            kwargs["markov_alpha"] = float(alpha)
-        if "latency_budget_s" in payload:
-            budget = payload["latency_budget_s"]
-            if budget is not None and not isinstance(budget, (int, float)):
+            kwargs["markov_alpha"] = alpha
+        if payload.get("latency_budget_s") is not None:
+            budget = finite_float(payload["latency_budget_s"])
+            if budget is None:
                 raise ConfigurationError(
-                    f"latency_budget_s must be a number or null, got {budget!r}"
+                    "latency_budget_s must be a finite number or null, got "
+                    f"{payload['latency_budget_s']!r}"
                 )
-            kwargs["latency_budget_s"] = (
-                None if budget is None else float(budget)
-            )
+            kwargs["latency_budget_s"] = budget
         unknown = set(payload) - {
             "governor",
             "policy",

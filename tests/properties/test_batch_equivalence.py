@@ -3,11 +3,11 @@
 ``PhasePredictor.observe_batch``/``predict_batch`` promise exactly the
 scalar ``observe``/``predict`` cycle — same predictions, same mutable
 state (checkpoints after any prefix), same hit/miss accounting — for
-*every* predictor in the zoo.  The kernelized trio (GPHT, last-value,
-fixed-window) overrides the defaults with vectorized replay; everything
-else exercises the base-class scalar-loop fallback.  Both paths must be
-indistinguishable from the scalar twin under any partition of the
-sample stream into batches.
+*every* predictor in the zoo.  The kernelized predictors (GPHT,
+last-value, fixed-window, variable-window, markov_k) override the
+defaults with batch replay; everything else exercises the base-class
+scalar-loop fallback.  Both paths must be indistinguishable from the
+scalar twin under any partition of the sample stream into batches.
 """
 
 import pytest
@@ -35,6 +35,7 @@ from repro.learn import (
     train_markov,
     train_phase_tree,
 )
+from repro.workloads.spec2000 import benchmark, benchmark_names
 
 TABLE = PhaseTable()
 
@@ -65,10 +66,12 @@ def _trained_markov_k():
     return predictor
 
 
-# The full zoo: the three kernelized predictors plus every scalar-loop
-# fallback (markov, hybrid, confidence, duration, variable-window, ...),
-# plus the repro.learn predictors (markov_k overrides the batch kernels;
-# the tree predictor rides the base-class scalar loop).
+# The full zoo: the four kernelized predictors plus every scalar-loop
+# fallback (markov, hybrid, confidence, duration, ...), plus the
+# repro.learn predictors (markov_k overrides the batch kernels; the tree
+# predictor rides the base-class scalar loop).  The two variable
+# windows reset eagerly (0.005) and rarely (0.03, with a 3-entry window
+# that evicts and ties three ways between resets).
 ZOO = [
     ("last_value", LastValuePredictor),
     ("fixed_window_majority", lambda: FixedWindowPredictor(4)),
@@ -76,6 +79,7 @@ ZOO = [
     ("gpht_lru", lambda: GPHTPredictor(4, 8)),
     ("gpht_fifo", lambda: GPHTPredictor(3, 4, replacement="fifo")),
     ("variable_window", lambda: VariableWindowPredictor(8, 0.005)),
+    ("variable_window_3", lambda: VariableWindowPredictor(3, 0.03)),
     ("markov", MarkovPredictor),
     ("tournament", lambda: TournamentPredictor(4, 16, chooser_bits=2)),
     ("confidence", lambda: ConfidenceGPHTPredictor(4, 16, max_confidence=2)),
@@ -210,3 +214,23 @@ def test_gpht_kernel_preserves_hit_miss_accounting(
     for start, stop in partition(len(samples), fractions):
         batch_twin.predict_batch(phases[start:stop], mems[start:stop])
     assert batch_twin.export_state() == scalar_twin.export_state()
+
+
+@pytest.mark.parametrize("batch", [1, 7, 300])
+@pytest.mark.parametrize("threshold", [0.005, 0.03])
+def test_variable_window_kernel_matches_scalar_on_spec_series(
+    threshold, batch
+):
+    """The paper's two VarWindow_128 configurations over every SPEC
+    series: same predictions and checkpoint after every batch."""
+    for name in benchmark_names():
+        mems = benchmark(name).mem_series(300).tolist()
+        phases = [TABLE.classify(mem) for mem in mems]
+        scalar_twin = VariableWindowPredictor(128, threshold)
+        batch_twin = VariableWindowPredictor(128, threshold)
+        for start in range(0, len(mems), batch):
+            stop = start + batch
+            assert batch_twin.predict_batch(
+                phases[start:stop], mems[start:stop]
+            ) == scalar_cycle(scalar_twin, phases[start:stop], mems[start:stop])
+            assert batch_twin.export_state() == scalar_twin.export_state()

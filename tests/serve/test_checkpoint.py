@@ -100,6 +100,17 @@ class TestPredictorState:
         clone.restore_state(trained.export_state())
         assert clone.export_state() == trained.export_state()
 
+    @pytest.mark.parametrize(
+        "text",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e400", "huge_int"],
+    )
+    def test_variable_window_rejects_non_finite_last_metric(self, text):
+        state = VariableWindowPredictor(16, 0.005).export_state()
+        state["last_metric"] = json.loads(text)
+        with pytest.raises(ConfigurationError, match="finite"):
+            VariableWindowPredictor(16, 0.005).restore_state(state)
+
 
 class TestSessionSnapshot:
     @pytest.mark.parametrize(

@@ -440,6 +440,53 @@ class TestNonFiniteSamples:
         assert response["ok"] is True
 
 
+#: Session config fields that hold a float, with a governor that reads it.
+FLOAT_CONFIG_FIELDS = {"markov_alpha": "markov", "latency_budget_s": "gpht"}
+
+#: Checkpoint fields that hold a float, as ``section.key``: the session
+#: config and the ``learned_tree`` predictor's last two metrics.
+FLOAT_CHECKPOINT_FIELDS = (
+    "config.markov_alpha",
+    "config.latency_budget_s",
+    "predictor.mem",
+    "predictor.mem_prev",
+)
+
+
+class TestNonFiniteConfig:
+    """A non-finite config or checkpoint number opens no session."""
+
+    @pytest.mark.parametrize("value", sorted(NON_FINITE))
+    @pytest.mark.parametrize("field", sorted(FLOAT_CONFIG_FIELDS))
+    def test_hello_rejected(self, manager, field, value):
+        line = '{"op":"hello","governor":"%s","%s":%s}' % (
+            FLOAT_CONFIG_FIELDS[field],
+            field,
+            NON_FINITE[value],
+        )
+        response = json.loads(handle_line(manager, line))
+        assert response["ok"] is False, response
+        assert response["error"] == "bad_request"
+        assert manager.active_sessions == 0
+
+    @pytest.mark.parametrize("value", sorted(NON_FINITE))
+    @pytest.mark.parametrize("field", FLOAT_CHECKPOINT_FIELDS)
+    def test_restore_rejected(self, manager, field, value):
+        session = hello(manager, governor="learned_tree")
+        checkpoint = handle_request(
+            manager, {"op": "snapshot", "session": session}
+        )["checkpoint"]
+        section, key = field.split(".")
+        checkpoint[section][key] = "@value@"
+        line = json.dumps({"op": "restore", "checkpoint": checkpoint})
+        response = json.loads(
+            handle_line(manager, line.replace('"@value@"', NON_FINITE[value]))
+        )
+        assert response["ok"] is False, response
+        assert response["error"] == "bad_request"
+        assert manager.active_sessions == 1
+
+
 class TestProtocolNegotiation:
     def test_v1_still_negotiable(self, manager):
         response = handle_request(manager, {"op": "hello", "protocol": 1})
