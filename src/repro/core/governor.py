@@ -21,8 +21,7 @@ Three governors cover the paper's comparison space:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, NamedTuple, Optional
 
 from repro.core.dvfs_policy import DVFSPolicy
 from repro.core.phases import PhaseTable
@@ -32,8 +31,7 @@ from repro.obs.events import PhaseClassified
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 
-@dataclass(frozen=True)
-class IntervalCounters:
+class IntervalCounters(NamedTuple):
     """Counter readings for one completed sampling interval.
 
     Attributes:
@@ -63,8 +61,7 @@ class IntervalCounters:
         return self.uops / self.tsc_cycles
 
 
-@dataclass(frozen=True)
-class GovernorDecision:
+class GovernorDecision(NamedTuple):
     """One governor consultation and its outcome.
 
     Attributes:
@@ -140,14 +137,11 @@ class PhasePredictionGovernor(Governor):
         policy: Optional[DVFSPolicy] = None,
         name: Optional[str] = None,
         metric: MetricExtractor = mem_per_uop_metric,
-        record_decisions: bool = True,
     ) -> None:
         self._predictor = predictor
         self._policy = policy if policy is not None else DVFSPolicy.paper_default()
         self._name = name if name is not None else predictor.name
         self._metric = metric
-        self._record_decisions = record_decisions
-        self._decisions: List[GovernorDecision] = []
         self._tracer: Tracer = NULL_TRACER
 
     @property
@@ -163,11 +157,6 @@ class PhasePredictionGovernor(Governor):
     def policy(self) -> DVFSPolicy:
         """The phase-to-setting policy in force."""
         return self._policy
-
-    @property
-    def decisions(self) -> Tuple[GovernorDecision, ...]:
-        """Every decision taken so far, in interval order."""
-        return tuple(self._decisions)
 
     def bind_tracer(self, tracer: Tracer) -> None:
         """Attach a trace collector to this governor and its predictor."""
@@ -188,18 +177,11 @@ class PhasePredictionGovernor(Governor):
                     phase=actual,
                 )
             )
-        self._predictor.observe(
-            PhaseObservation(phase=actual, mem_per_uop=metric_value)
-        )
+        self._predictor.observe(PhaseObservation(actual, metric_value))
         predicted = self._clamp(self._predictor.predict(), phase_table)
-        decision = GovernorDecision(
-            actual_phase=actual,
-            predicted_phase=predicted,
-            setting=self._policy.setting_for(predicted),
+        return GovernorDecision(
+            actual, predicted, self._policy.setting_for(predicted)
         )
-        if self._record_decisions:
-            self._decisions.append(decision)
-        return decision
 
     @staticmethod
     def _clamp(phase_id: int, phase_table: PhaseTable) -> int:
@@ -208,7 +190,6 @@ class PhasePredictionGovernor(Governor):
 
     def reset(self) -> None:
         self._predictor.reset()
-        self._decisions.clear()
 
 
 class ReactiveGovernor(PhasePredictionGovernor):
@@ -219,17 +200,8 @@ class ReactiveGovernor(PhasePredictionGovernor):
     last-value predictor.
     """
 
-    def __init__(
-        self,
-        policy: Optional[DVFSPolicy] = None,
-        record_decisions: bool = True,
-    ) -> None:
-        super().__init__(
-            LastValuePredictor(),
-            policy,
-            name="Reactive",
-            record_decisions=record_decisions,
-        )
+    def __init__(self, policy: Optional[DVFSPolicy] = None) -> None:
+        super().__init__(LastValuePredictor(), policy, name="Reactive")
 
 
 class StaticGovernor(Governor):
@@ -261,11 +233,7 @@ class StaticGovernor(Governor):
 
     def decide(self, counters: IntervalCounters) -> GovernorDecision:
         actual = self._phase_table.classify(counters.mem_per_uop)
-        return GovernorDecision(
-            actual_phase=actual,
-            predicted_phase=actual,
-            setting=self._setting,
-        )
+        return GovernorDecision(actual, actual, self._setting)
 
     def reset(self) -> None:
         """Static governors hold no state."""

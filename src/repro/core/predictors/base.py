@@ -17,8 +17,7 @@ key their history resets off the raw metric.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -27,8 +26,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 PredictorState = Dict[str, object]
 
 
-@dataclass(frozen=True)
-class PhaseObservation:
+class PhaseObservation(NamedTuple):
     """What the handler observed for one completed sampling interval.
 
     Attributes:

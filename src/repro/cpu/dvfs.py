@@ -92,7 +92,8 @@ class DVFSInterface:
 
         Implements "Same as current setting?" from Figure 8: if the
         requested point equals the current one, nothing happens and the
-        cost is zero.
+        cost is zero.  The current point was validated when it was set,
+        so requesting that very object skips the table lookup.
 
         Args:
             point: Desired operating point; must be in the platform table.
@@ -105,6 +106,8 @@ class DVFSInterface:
         Raises:
             ConfigurationError: If ``point`` is not supported.
         """
+        if point is self._current:
+            return 0.0
         if point not in self._table:
             raise ConfigurationError(
                 f"operating point {point} not supported by this platform"

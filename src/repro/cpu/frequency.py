@@ -11,6 +11,7 @@ slowest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -21,7 +22,9 @@ class OperatingPoint:
     """A single DVFS setting: a (frequency, voltage) pair.
 
     Ordering compares by frequency first, which makes ``max()``/``min()``
-    and sorting behave naturally ("bigger" means "faster").
+    and sorting behave naturally ("bigger" means "faster").  The unit
+    conversions are computed once per point; equality, ordering and
+    hashing read only the two fields.
 
     Attributes:
         frequency_mhz: Core clock frequency in megahertz.
@@ -41,17 +44,17 @@ class OperatingPoint:
                 f"voltage must be positive, got {self.voltage_mv} mV"
             )
 
-    @property
+    @cached_property
     def frequency_ghz(self) -> float:
         """Clock frequency in gigahertz (cycles per nanosecond)."""
         return self.frequency_mhz / 1000.0
 
-    @property
+    @cached_property
     def frequency_hz(self) -> float:
         """Clock frequency in hertz."""
         return self.frequency_mhz * 1.0e6
 
-    @property
+    @cached_property
     def voltage_v(self) -> float:
         """Supply voltage in volts."""
         return self.voltage_mv / 1000.0

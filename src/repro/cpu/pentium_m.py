@@ -10,8 +10,7 @@ currently hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.cpu.dvfs import DVFSInterface
 from repro.cpu.frequency import OperatingPoint
@@ -20,8 +19,7 @@ from repro.pmc.events import PMCEvent
 from repro.workloads.segments import SegmentSpec
 
 
-@dataclass(frozen=True)
-class CoreExecution:
+class CoreExecution(NamedTuple):
     """Everything produced by running one segment on the core.
 
     Attributes:
@@ -87,6 +85,4 @@ class PentiumM:
             PMCEvent.INSTR_RETIRED: segment.instructions,
             PMCEvent.CPU_CLK_UNHALTED: timing.cycles,
         }
-        return CoreExecution(
-            segment=segment, point=point, timing=timing, events=events
-        )
+        return CoreExecution(segment, point, timing, events)

@@ -23,6 +23,7 @@ transaction's latency hidden under other useful work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cpu.frequency import OperatingPoint
 from repro.errors import ConfigurationError
@@ -36,8 +37,7 @@ from repro.workloads.segments import SegmentSpec
 DEFAULT_MEMORY_LATENCY_NS = 100.0
 
 
-@dataclass(frozen=True)
-class SegmentExecution:
+class SegmentExecution(NamedTuple):
     """The result of executing one segment at one operating point.
 
     Attributes:
@@ -137,12 +137,12 @@ class TimingModel:
         stall = self.stall_cycles(segment, point)
         total = core + stall
         return SegmentExecution(
-            cycles=total,
-            seconds=total / point.frequency_hz,
-            core_cycles=core,
-            stall_cycles=stall,
-            upc=segment.uops / total,
-            duty=core / total,
+            total,
+            total / point.frequency_hz,
+            core,
+            stall,
+            segment.uops / total,
+            core / total,
         )
 
     def slowdown(

@@ -231,25 +231,15 @@ def build_governor(
     policy: str = "table2",
     gphr_depth: int = 8,
     pht_entries: int = 128,
-    record_decisions: bool = True,
 ) -> Governor:
-    """Construct a managed governor from registry names.
-
-    ``record_decisions=False`` keeps the governor's memory bounded for
-    long-running use (``repro.serve`` sessions); decisions are identical
-    either way.
-    """
+    """Construct a managed governor from registry names."""
     dvfs_policy = build_policy(policy)
     if governor == "gpht":
         return PhasePredictionGovernor(
-            GPHTPredictor(gphr_depth, pht_entries),
-            dvfs_policy,
-            record_decisions=record_decisions,
+            GPHTPredictor(gphr_depth, pht_entries), dvfs_policy
         )
     if governor == "reactive":
-        return ReactiveGovernor(
-            dvfs_policy, record_decisions=record_decisions
-        )
+        return ReactiveGovernor(dvfs_policy)
     raise ConfigurationError(
         f"unknown governor {governor!r}; known: gpht, reactive"
     )

@@ -24,6 +24,7 @@ from typing import Dict, Union
 from repro.errors import ConfigurationError
 from repro.learn.power import LearnedPowerModel
 from repro.learn.predictors import DecisionTreePhasePredictor, MarkovKPredictor
+from repro.numerics import finite_float
 
 #: Artifact format version.
 ARTIFACT_VERSION = 1
@@ -163,11 +164,12 @@ def _config_int(config: Dict[str, object], key: str) -> int:
 
 def _config_float(config: Dict[str, object], key: str) -> float:
     value = config.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    number = finite_float(value)
+    if number is None:
         raise ConfigurationError(
-            f"artifact config {key!r} must be a number, got {value!r}"
+            f"artifact config {key!r} must be a finite number, got {value!r}"
         )
-    return float(value)
+    return number
 
 
 def build_model(artifact: ModelArtifact) -> LearnedModel:

@@ -339,7 +339,7 @@ def power_dataset_from_benchmark(
     )
     machine = Machine()
     governor = PhasePredictionGovernor(
-        GPHTPredictor(), DVFSPolicy.paper_default(), record_decisions=False
+        GPHTPredictor(), DVFSPolicy.paper_default()
     )
     run = machine.run(trace, governor)
     return power_dataset_from_run(run)

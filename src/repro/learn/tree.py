@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.numerics import finite_float
 
 #: Impurity-gain floor below which a split is considered pure noise.
 MIN_GAIN = 1e-12
@@ -284,16 +285,21 @@ class DecisionTree:
                     raise ConfigurationError(
                         f"node {i} {label} must be an int, got {v!r}"
                     )
-            if isinstance(thr, bool) or not isinstance(thr, (int, float)):
+            number = finite_float(thr)
+            if number is None:
                 raise ConfigurationError(
-                    f"node {i} threshold must be a number, got {thr!r}"
+                    f"node {i} threshold must be a finite number, got {thr!r}"
                 )
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise ConfigurationError(
                     f"node {i} value must be a number, got {val!r}"
                 )
+            if task == "regression" and finite_float(val) is None:
+                raise ConfigurationError(
+                    f"node {i} value must be a finite number, got {val!r}"
+                )
             feature.append(f)
-            threshold.append(float(thr))
+            threshold.append(number)
             left.append(lo)
             right.append(hi)
             value.append(val)

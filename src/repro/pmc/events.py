@@ -35,6 +35,10 @@ class PMCEvent(Enum):
     def __str__(self) -> str:
         return self.value
 
+    # Members are singletons, so identity hashing is exact and skips
+    # Enum's Python-level ``hash(self._name_)`` on every dict lookup.
+    __hash__ = object.__hash__
+
 
 #: Events a 2-counter Pentium-M configuration can monitor simultaneously
 #: in the paper's setup (one counter is dedicated to pacing the PMI).

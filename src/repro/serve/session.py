@@ -420,21 +420,15 @@ class PhaseSession:
 
     @staticmethod
     def _build_governor(config: SessionConfig) -> PhasePredictionGovernor:
-        """The governor hosting this session's predictor.
-
-        Decision recording is off: a service session must hold bounded
-        memory no matter how long it runs.
-        """
+        """The governor hosting this session's predictor."""
         # Imported here, not at module scope: exec.cells eagerly pulls
         # the analysis stack, which sessions only need for policy names.
         from repro.exec.cells import build_policy
 
         policy = build_policy(config.policy)
         if config.governor == "reactive":
-            return ReactiveGovernor(policy, record_decisions=False)
-        return PhasePredictionGovernor(
-            config.build_predictor(), policy, record_decisions=False
-        )
+            return ReactiveGovernor(policy)
+        return PhasePredictionGovernor(config.build_predictor(), policy)
 
     # -- introspection ------------------------------------------------------
 

@@ -14,8 +14,7 @@ system calls (Section 5.1, 5.4).  This module reproduces that structure:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.core.governor import Governor, IntervalCounters
 from repro.cpu.dvfs import DVFSInterface
@@ -38,8 +37,7 @@ IN_HANDLER_BIT = 1
 APP_RUNNING_BIT = 2
 
 
-@dataclass(frozen=True)
-class KernelLogRecord:
+class KernelLogRecord(NamedTuple):
     """One sampling interval as recorded by the handler.
 
     Attributes:
@@ -187,10 +185,10 @@ class PhaseMonitorLKM:
         self._bank.stop()
         readings = self._bank.read_all()
         counters = IntervalCounters(
-            uops=readings.get(PMCEvent.UOPS_RETIRED, 0.0),
-            mem_transactions=readings.get(PMCEvent.BUS_TRAN_MEM, 0.0),
-            instructions=readings.get(PMCEvent.INSTR_RETIRED, 0.0),
-            tsc_cycles=self._bank.tsc_cycles,
+            readings.get(PMCEvent.UOPS_RETIRED, 0.0),
+            readings.get(PMCEvent.BUS_TRAN_MEM, 0.0),
+            readings.get(PMCEvent.INSTR_RETIRED, 0.0),
+            self._bank.tsc_cycles,
         )
         point_before = self._dvfs.current
         frequency_before = point_before.frequency_mhz
@@ -224,18 +222,18 @@ class PhaseMonitorLKM:
             )
         self._log.append(
             KernelLogRecord(
-                interval_index=self._interval_index,
-                time_s=time_s,
-                uops=counters.uops,
-                mem_transactions=counters.mem_transactions,
-                instructions=counters.instructions,
-                tsc_cycles=counters.tsc_cycles,
-                mem_per_uop=counters.mem_per_uop,
-                upc=counters.upc,
-                actual_phase=decision.actual_phase,
-                predicted_phase=decision.predicted_phase,
-                frequency_mhz=frequency_before,
-                next_frequency_mhz=decision.setting.frequency_mhz,
+                interval_index,
+                time_s,
+                counters.uops,
+                counters.mem_transactions,
+                counters.instructions,
+                counters.tsc_cycles,
+                counters.mem_per_uop,
+                counters.upc,
+                decision.actual_phase,
+                decision.predicted_phase,
+                frequency_before,
+                decision.setting.frequency_mhz,
             )
         )
         self._interval_index += 1

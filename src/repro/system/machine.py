@@ -16,8 +16,7 @@ ordering as the deployed system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.governor import Governor
 from repro.cpu.dvfs import DVFSInterface
@@ -42,27 +41,6 @@ from repro.system.lkm import (
 from repro.system.metrics import IntervalMetrics, RunResult
 from repro.system.parallel_port import ParallelPort
 from repro.workloads.segments import SegmentSpec, WorkloadTrace
-
-
-@dataclass
-class _IntervalAccumulator:
-    """Machine-side accounting for the interval currently executing."""
-
-    seconds: float = 0.0
-    energy_j: float = 0.0
-    instructions: float = 0.0
-    uops: float = 0.0
-
-    def take(self) -> "_IntervalAccumulator":
-        """Return the current totals and reset for the next interval."""
-        finished = _IntervalAccumulator(
-            self.seconds, self.energy_j, self.instructions, self.uops
-        )
-        self.seconds = 0.0
-        self.energy_j = 0.0
-        self.instructions = 0.0
-        self.uops = 0.0
-        return finished
 
 
 class Machine:
@@ -157,8 +135,9 @@ class Machine:
         port.set_bit(APP_RUNNING_BIT)
 
         time_s = 0.0
-        current = _IntervalAccumulator()
-        finished_intervals: List[_IntervalAccumulator] = []
+        # The interval now executing: seconds, energy, instructions.
+        seconds = energy_j = instructions = 0.0
+        finished_intervals: List[Tuple[float, float, float]] = []
 
         for segment in trace:
             remaining: Optional[SegmentSpec] = segment
@@ -184,10 +163,9 @@ class Machine:
                 if thermal is not None:
                     thermal.advance(power_w, execution.timing.seconds)
                 time_s += execution.timing.seconds
-                current.seconds += execution.timing.seconds
-                current.energy_j += power_w * execution.timing.seconds
-                current.instructions += piece.instructions
-                current.uops += piece.uops
+                seconds += execution.timing.seconds
+                energy_j += power_w * execution.timing.seconds
+                instructions += piece.instructions
 
                 overflowed = bank.advance(
                     execution.events, execution.timing.cycles
@@ -219,7 +197,8 @@ class Machine:
                     if thermal is not None:
                         thermal.advance(handler_power, handler_s)
                     time_s += handler_s
-                    finished_intervals.append(current.take())
+                    finished_intervals.append((seconds, energy_j, instructions))
+                    seconds = energy_j = instructions = 0.0
 
         port.clear_bit(APP_RUNNING_BIT)
         lkm.unload(pmi)
@@ -231,13 +210,8 @@ class Machine:
                 f"accounted {len(finished_intervals)} intervals"
             )
         intervals = tuple(
-            IntervalMetrics(
-                record=record,
-                seconds=acc.seconds,
-                energy_j=acc.energy_j,
-                instructions=acc.instructions,
-            )
-            for record, acc in zip(records, finished_intervals)
+            IntervalMetrics(record, *accounting)
+            for record, accounting in zip(records, finished_intervals)
         )
         return RunResult(
             workload_name=trace.name,

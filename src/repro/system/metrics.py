@@ -10,14 +10,13 @@ baseline-vs-managed comparisons of Figures 11-13.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.system.lkm import KernelLogRecord
 
 
-@dataclass(frozen=True)
-class IntervalMetrics:
+class IntervalMetrics(NamedTuple):
     """One sampling interval: handler log joined with machine accounting.
 
     Attributes:

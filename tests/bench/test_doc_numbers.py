@@ -1,9 +1,10 @@
-"""The docs quote the committed batch-throughput artifacts.
+"""The docs quote the committed artifacts.
 
 Each passage below quotes one artifact in ``benchmarks/results``: every
 speedup (``4.82×``) and every rate (``128,217.6 samples/s``) it carries
-must be that artifact's, so a regenerated artifact or a hand-edited doc
-cannot drift apart unnoticed.
+must be that artifact's, and every figure a table row quotes must be
+its artifact's metric at the row's precision, so a regenerated artifact
+or a hand-edited doc cannot drift apart unnoticed.
 """
 
 import json
@@ -33,6 +34,30 @@ PASSAGES = (
     ("README.md", "session feed throughput",
      "batch_feed_throughput", "speedup"),
 )
+
+
+#: (doc, pattern matching one table row, artifact, the metric each of
+#: the pattern's groups quotes): a quote ending in ``%`` is the metric
+#: as a percentage.
+METRIC_ROWS = (
+    ("EXPERIMENTS.md", r"\| (\d+) of 33 benchmarks in Q1 \|$",
+     "fig03_quadrants", ("q1_count",)),
+    ("EXPERIMENTS.md", r"\| (\d+) feasible of 110 grid coordinates \|$",
+     "fig06_exploration_space", ("n_grid_configs",)),
+    ("EXPERIMENTS.md", r"; ([\d.]+%) at \(UPC 0\.1, Mem/Uop 0\.0475\) \|$",
+     "fig07_dvfs_invariance", ("heavy_config_upc_change",)),
+    ("EXPERIMENTS.md", r"\| ([\d.]+%) EDP, ([\d.]+%) degradation \|$",
+     "fig11_dvfs_results",
+     ("mean_edp_improvement", "mean_performance_degradation")),
+)
+
+
+def _printed(value, quote):
+    """``value`` printed as ``quote`` prints its figure."""
+    percent = quote.endswith("%")
+    decimals = len(quote.rstrip("%").partition(".")[2])
+    printed = f"{value * 100 if percent else value:.{decimals}f}"
+    return printed + "%" if percent else printed
 
 
 def _passage(text, anchor):
@@ -72,5 +97,22 @@ def test_docs_quote_the_committed_speedups():
                 mismatches.append(
                     f"{doc}: {anchor!r} quotes {rate:,} samples/s, "
                     f"{artifact} has {sorted(rates)}"
+                )
+    assert mismatches == [], "\n".join(mismatches)
+
+
+def test_doc_rows_quote_the_committed_metrics():
+    mismatches = []
+    for doc, pattern, artifact, metrics in METRIC_ROWS:
+        text = (REPO / doc).read_text(encoding="utf-8")
+        rows = re.findall(pattern, text, re.MULTILINE)
+        assert len(rows) == 1, f"{doc}: {pattern!r} matches {len(rows)} rows"
+        quotes = rows[0] if isinstance(rows[0], tuple) else (rows[0],)
+        result = json.loads((RESULTS / f"{artifact}.json").read_text())
+        for quote, metric in zip(quotes, metrics):
+            expected = _printed(result["metrics"][metric], quote)
+            if quote != expected:
+                mismatches.append(
+                    f"{doc}: quotes {quote}, {artifact} {metric} is {expected}"
                 )
     assert mismatches == [], "\n".join(mismatches)

@@ -50,12 +50,11 @@ class TestPhasePredictionGovernor:
         assert decision.predicted_phase == 3
         assert decision.setting.frequency_mhz == 1200
 
-    def test_decisions_logged_in_order(self):
+    def test_decisions_follow_interval_order(self):
         governor = PhasePredictionGovernor(LastValuePredictor())
-        governor.decide(counters(0.001))
-        governor.decide(counters(0.04))
-        phases = [d.actual_phase for d in governor.decisions]
-        assert phases == [1, 6]
+        decisions = [governor.decide(counters(m)) for m in (0.001, 0.04)]
+        assert [d.actual_phase for d in decisions] == [1, 6]
+        assert [d.predicted_phase for d in decisions] == [1, 6]
 
     def test_predictor_sees_observations(self):
         class Spy(PhasePredictor):
@@ -77,11 +76,11 @@ class TestPhasePredictionGovernor:
 
         spy = Spy()
         governor = PhasePredictionGovernor(spy)
-        governor.decide(counters(0.021))
+        decision = governor.decide(counters(0.021))
         assert spy.seen[0].phase == 5
         assert spy.seen[0].mem_per_uop == pytest.approx(0.021)
         # The spy's constant prediction drives the setting.
-        assert governor.decisions[0].setting.frequency_mhz == 1000
+        assert decision.setting.frequency_mhz == 1000
 
     def test_out_of_range_prediction_is_clamped(self):
         class Wild(PhasePredictor):
@@ -103,12 +102,11 @@ class TestPhasePredictionGovernor:
         assert decision.predicted_phase == 6
         assert decision.setting.frequency_mhz == 600
 
-    def test_reset_clears_predictor_and_log(self):
+    def test_reset_clears_predictor(self):
         predictor = GPHTPredictor(4, 16)
         governor = PhasePredictionGovernor(predictor)
         governor.decide(counters(0.012))
         governor.reset()
-        assert governor.decisions == ()
         assert predictor.pht_occupancy == 0
 
     def test_name_defaults_to_predictor(self):

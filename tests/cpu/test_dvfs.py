@@ -55,6 +55,23 @@ class TestRequest:
         with pytest.raises(ConfigurationError, match="not supported"):
             dvfs.request(OperatingPoint(1300, 1400))
 
+    @pytest.mark.parametrize("identical", [True, False])
+    def test_current_point_is_free_by_identity_or_equality(self, identical):
+        table = SpeedStepTable()
+        dvfs = DVFSInterface(table, initial=table.at_frequency(800))
+        point = dvfs.current if identical else OperatingPoint(800, 1116)
+        assert (point is dvfs.current) is identical
+        assert dvfs.request(point, time_s=1.0) == 0.0
+        assert dvfs.transitions == ()
+        assert dvfs.current is table.at_frequency(800)
+
+    def test_unsupported_point_raises_after_a_free_request(self):
+        dvfs = DVFSInterface()
+        dvfs.request(dvfs.current)
+        with pytest.raises(ConfigurationError, match="not supported"):
+            dvfs.request(OperatingPoint(1500, 1400))
+        assert dvfs.transition_count == 0
+
     def test_repeated_toggling_counts_each_change(self):
         dvfs = DVFSInterface()
         fast = dvfs.table.fastest

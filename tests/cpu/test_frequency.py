@@ -1,5 +1,7 @@
 """Tests for operating points and the SpeedStep table."""
 
+import pickle
+
 import pytest
 
 from repro.cpu.frequency import (
@@ -39,6 +41,22 @@ class TestOperatingPoint:
 
     def test_str_shows_both_quantities(self):
         assert str(OperatingPoint(600, 956)) == "(600 MHz, 956 mV)"
+
+    def test_cached_conversions_leave_identity_alone(self):
+        point = OperatingPoint(800, 1116)
+        assert (point.frequency_ghz, point.frequency_hz, point.voltage_v) == (
+            0.8,
+            8.0e8,
+            1.116,
+        )
+        fresh = OperatingPoint(800, 1116)
+        assert point == fresh
+        assert hash(point) == hash(fresh)
+        assert not point < fresh and not fresh < point
+        assert OperatingPoint(600, 956) < point < OperatingPoint(1000, 1228)
+        restored = pickle.loads(pickle.dumps(point))
+        assert restored == fresh
+        assert restored.frequency_hz == 8.0e8
 
 
 class TestPaperOperatingPoints:

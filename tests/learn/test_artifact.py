@@ -20,6 +20,18 @@ from repro.learn import (
     train_phase_tree,
     train_power_model,
 )
+from repro.learn.artifact import _config_float
+
+#: JSON number texts no finite float holds: ``json`` reads ``NaN`` and
+#: the infinities as themselves and ``1e400`` as ``inf``, and the
+#: 401-digit integer overflows ``float()``.
+NON_FINITE = {
+    "nan": "NaN",
+    "inf": "Infinity",
+    "-inf": "-Infinity",
+    "1e400": "1e400",
+    "huge_int": "1" + "0" * 400,
+}
 
 TABLE = PhaseTable()
 
@@ -136,6 +148,16 @@ class TestValidation:
     def test_load_rejects_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
             ModelArtifact.load(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("value", sorted(NON_FINITE))
+    def test_config_float_rejects_non_finite_numbers(self, value):
+        config = json.loads('{"alpha": %s}' % NON_FINITE[value])
+        with pytest.raises(ConfigurationError, match="finite number"):
+            _config_float(config, "alpha")
+
+    def test_config_float_accepts_finite_numbers(self):
+        assert _config_float({"alpha": 1}, "alpha") == 1.0
+        assert _config_float({"alpha": 0.25}, "alpha") == 0.25
 
 
 class TestSessionConfigParams:

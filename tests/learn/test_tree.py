@@ -1,10 +1,24 @@
 """Unit tests for the deterministic CART implementation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.learn.tree import DecisionTree
+
+
+#: JSON number texts no finite float holds: ``json`` reads ``NaN`` and
+#: the infinities as themselves and ``1e400`` as ``inf``, and the
+#: 401-digit integer overflows ``float()``.
+NON_FINITE = {
+    "nan": "NaN",
+    "inf": "Infinity",
+    "-inf": "-Infinity",
+    "1e400": "1e400",
+    "huge_int": "1" + "0" * 400,
+}
 
 
 def _grid_features():
@@ -160,3 +174,24 @@ class TestPayload:
     def test_rejects_non_dict(self):
         with pytest.raises(ConfigurationError):
             DecisionTree.from_payload([1, 2, 3])
+
+    @pytest.mark.parametrize("value", sorted(NON_FINITE))
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_rejects_a_non_finite_threshold(self, task, value):
+        payload = json.loads(
+            '{"version": 1, "task": "%s", "n_features": 1, "nodes": '
+            '[[0, %s, 1, 2, 1], [-1, 0.0, -1, -1, 1], [-1, 0.0, -1, -1, 2]]}'
+            % (task, NON_FINITE[value])
+        )
+        with pytest.raises(ConfigurationError, match="finite number"):
+            DecisionTree.from_payload(payload)
+
+    @pytest.mark.parametrize("value", sorted(NON_FINITE))
+    def test_rejects_a_non_finite_regression_value(self, value):
+        payload = json.loads(
+            '{"version": 1, "task": "regression", "n_features": 1, "nodes": '
+            '[[0, 0.5, 1, 2, 0.5], [-1, 0.0, -1, -1, %s], '
+            '[-1, 0.0, -1, -1, 2.0]]}' % NON_FINITE[value]
+        )
+        with pytest.raises(ConfigurationError, match="finite number"):
+            DecisionTree.from_payload(payload)

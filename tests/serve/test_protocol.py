@@ -486,6 +486,44 @@ class TestNonFiniteConfig:
         assert response["error"] == "bad_request"
         assert manager.active_sessions == 1
 
+    @staticmethod
+    def _restore_tree_with_threshold(manager, threshold_text):
+        """Restore a ``learned_tree`` session whose root split has the
+        JSON number ``threshold_text``; returns the parsed response."""
+        session = hello(manager, governor="learned_tree")
+        checkpoint = handle_request(
+            manager, {"op": "snapshot", "session": session}
+        )["checkpoint"]
+        predictor = checkpoint["predictor"]
+        predictor["tree"] = {
+            "version": 1,
+            "task": "classification",
+            "n_features": predictor["history_length"] + 2,
+            "nodes": [
+                [0, "@value@", 1, 2, 1],
+                [-1, 0.0, -1, -1, 1],
+                [-1, 0.0, -1, -1, 2],
+            ],
+        }
+        line = json.dumps({"op": "restore", "checkpoint": checkpoint})
+        return json.loads(
+            handle_line(manager, line.replace('"@value@"', threshold_text))
+        )
+
+    def test_restore_accepts_a_finite_tree_threshold(self, manager):
+        response = self._restore_tree_with_threshold(manager, "2.5")
+        assert response["ok"] is True, response
+        assert manager.active_sessions == 2
+
+    @pytest.mark.parametrize("value", sorted(NON_FINITE))
+    def test_restore_rejects_a_non_finite_tree_threshold(self, manager, value):
+        response = self._restore_tree_with_threshold(
+            manager, NON_FINITE[value]
+        )
+        assert response["ok"] is False, response
+        assert response["error"] == "bad_request"
+        assert manager.active_sessions == 1
+
 
 class TestProtocolNegotiation:
     def test_v1_still_negotiable(self, manager):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.governor import PhasePredictionGovernor, StaticGovernor
-from repro.core.predictors import LastValuePredictor
+from repro.core.predictors import LastValuePredictor, PhasePredictor
 from repro.cpu.dvfs import DVFSInterface
 from repro.errors import ConfigurationError
 from repro.pmc.counters import PMCBank
@@ -119,7 +119,62 @@ class TestHandlerFlow:
         assert lkm.total_handler_seconds == pytest.approx(a + b)
 
 
+class FixedBank:
+    """Counter readings fixed in advance, all four of them non-zero.
+
+    The paper's two-counter bank cannot read memory transactions and
+    instructions together; this stand-in reads both, so every field
+    of a log record can hold a distinct value.
+    """
+
+    tsc_cycles = 5000.0
+
+    def stop(self):
+        pass
+
+    def restart(self):
+        pass
+
+    def read_all(self):
+        return {
+            PMCEvent.UOPS_RETIRED: 2000.0,
+            PMCEvent.BUS_TRAN_MEM: 30.0,
+            PMCEvent.INSTR_RETIRED: 1700.0,
+        }
+
+
+class PredictsTwo(PhasePredictor):
+    name = "PredictsTwo"
+
+    def observe(self, observation):
+        pass
+
+    def predict(self):
+        return 2
+
+    def reset(self):
+        pass
+
+
 class TestKernelLog:
+    def test_log_records_every_field_in_place(self):
+        governor = PhasePredictionGovernor(PredictsTwo())
+        lkm = PhaseMonitorLKM(governor, FixedBank(), DVFSInterface())
+        lkm.handle_interrupt(2.5)
+        (record,) = lkm.read_log()
+        assert record.interval_index == 0
+        assert record.time_s == 2.5
+        assert record.uops == 2000.0
+        assert record.mem_transactions == 30.0
+        assert record.instructions == 1700.0
+        assert record.tsc_cycles == 5000.0
+        assert record.mem_per_uop == 30.0 / 2000.0
+        assert record.upc == 2000.0 / 5000.0
+        assert record.actual_phase == 4
+        assert record.predicted_phase == 2
+        assert record.frequency_mhz == 1500
+        assert record.next_frequency_mhz == 1400
+
     def test_log_records_interval_facts(self):
         lkm, bank, _, _ = make_lkm()
         run_interval(lkm, bank, uops=1000, mem=0.012, cycles=800, time_s=1.5)

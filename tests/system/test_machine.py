@@ -98,10 +98,12 @@ class TestGovernance:
         machine = small_machine()
         governor = PhasePredictionGovernor(GPHTPredictor(4, 16))
         trace = trace_of([(0.01, 1.0)] * 3)
-        machine.run(trace, governor)
-        result = machine.run(trace, governor)
-        assert len(governor.decisions) == 3
-        assert result.intervals[0].record.interval_index == 0
+        first = machine.run(trace, governor)
+        state = governor.predictor.export_state()
+        second = machine.run(trace, governor)
+        assert second == first
+        assert governor.predictor.export_state() == state
+        assert second.intervals[0].record.interval_index == 0
 
     def test_initial_point_override(self):
         machine = small_machine()
