@@ -14,11 +14,9 @@ genuinely aggregate several behaviour changes.
 
 from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
-from repro.core.governor import PhasePredictionGovernor, StaticGovernor
+from repro.analysis.sweeps import sweep_granularity
+from repro.core.governor import PhasePredictionGovernor
 from repro.core.predictors import GPHTPredictor
-from repro.system.machine import Machine
-from repro.system.metrics import ComparisonMetrics
-from repro.workloads.spec2000 import benchmark as spec_benchmark
 
 SEGMENT_UOPS = 25_000_000
 N_SEGMENTS = 1200
@@ -26,39 +24,33 @@ GRANULARITIES = (25_000_000, 50_000_000, 100_000_000, 400_000_000)
 
 
 def run_sweep():
-    trace = spec_benchmark("applu_in").trace(
-        n_intervals=N_SEGMENTS, uops_per_interval=SEGMENT_UOPS
+    return sweep_granularity(
+        "applu_in",
+        GRANULARITIES,
+        lambda: PhasePredictionGovernor(GPHTPredictor(8, 128)),
+        segment_uops=SEGMENT_UOPS,
+        n_segments=N_SEGMENTS,
     )
-    outcomes = {}
-    for granularity in GRANULARITIES:
-        machine = Machine(granularity_uops=granularity)
-        baseline = machine.run(
-            trace, StaticGovernor(machine.speedstep.fastest)
-        )
-        managed = machine.run(
-            trace, PhasePredictionGovernor(GPHTPredictor(8, 128))
-        )
-        outcomes[granularity] = (
-            ComparisonMetrics(baseline=baseline, managed=managed),
-            managed,
-        )
-    return outcomes
 
 
 def test_ablation_granularity(benchmark, report):
-    outcomes = run_once(benchmark, run_sweep)
+    result = run_once(benchmark, run_sweep)
+
+    def metric(granularity, name):
+        return result.value(granularity, metric=name)
 
     rows = []
     for granularity in GRANULARITIES:
-        comparison, managed = outcomes[granularity]
         rows.append(
             (
                 f"{granularity // 1_000_000}M uops",
-                len(managed.intervals),
-                round(managed.prediction_accuracy() * 100, 1),
-                round(comparison.edp_improvement * 100, 1),
-                round(comparison.performance_degradation * 100, 1),
-                f"{managed.handler_overhead_fraction:.5%}",
+                result.cell(granularity).metric("n_intervals"),
+                round(metric(granularity, "prediction_accuracy") * 100, 1),
+                round(metric(granularity, "edp_improvement") * 100, 1),
+                round(
+                    metric(granularity, "performance_degradation") * 100, 1
+                ),
+                f"{metric(granularity, 'handler_overhead_fraction'):.5%}",
             )
         )
     report(
@@ -81,37 +73,30 @@ def test_ablation_granularity(benchmark, report):
             "n_segments": N_SEGMENTS,
         },
         metrics={
-            f"edp_improvement_{granularity // 1_000_000}m": outcomes[
-                granularity
-            ][0].edp_improvement
+            f"edp_improvement_{granularity // 1_000_000}m": metric(
+                granularity, "edp_improvement"
+            )
             for granularity in GRANULARITIES
         },
     )
 
-    fine, _ = outcomes[25_000_000]
-    paper, paper_run = outcomes[100_000_000]
-    coarse, _ = outcomes[400_000_000]
-
     # All granularities still beat the unmanaged baseline.
     for granularity in GRANULARITIES:
-        assert outcomes[granularity][0].edp_improvement > 0.10, granularity
+        assert metric(granularity, "edp_improvement") > 0.10, granularity
 
     # The paper's 100M-uop choice keeps handler overhead invisible.
-    assert paper_run.handler_overhead_fraction < 1e-3
+    assert metric(100_000_000, "handler_overhead_fraction") < 1e-3
 
     # Finer sampling never pays *more* handler share than coarser
     # sampling per interval count.
-    fine_run = outcomes[25_000_000][1]
-    coarse_run = outcomes[400_000_000][1]
-    assert (
-        fine_run.handler_overhead_fraction
-        > coarse_run.handler_overhead_fraction
+    assert metric(25_000_000, "handler_overhead_fraction") > metric(
+        400_000_000, "handler_overhead_fraction"
     )
 
     # Coarse sampling blends phases: its online accuracy can look high
     # (aggregation smooths the series) but it leaves EDP on the table
     # relative to the best granularity for this workload.
     best_edp = max(
-        outcomes[g][0].edp_improvement for g in GRANULARITIES
+        metric(g, "edp_improvement") for g in GRANULARITIES
     )
-    assert coarse.edp_improvement <= best_edp
+    assert metric(400_000_000, "edp_improvement") <= best_edp

@@ -23,13 +23,11 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.reporting import format_table
 from repro.exec.cache import ResultCache
-from repro.exec.cells import comparison_summary
 from repro.exec.engine import ExecutionEngine, make_engine
 from repro.exec.results import MetricValue
 from repro.exec.spec import ExperimentSpec
-from repro.system.experiment import run_comparison_suite, run_suite
-from repro.system.machine import Machine
-from repro.system.metrics import ComparisonMetrics, mean
+from repro.system.experiment import run_comparison_suite
+from repro.system.metrics import mean
 from repro.workloads.spec2000 import (
     FIG4_BENCHMARK_ORDER,
     FIG12_BENCHMARKS,
@@ -86,42 +84,17 @@ def _suite_metrics(
     policy: str,
     n_intervals: int,
     engine: ExecutionEngine,
-    machine: Optional[Machine],
 ) -> Dict[str, Mapping[str, MetricValue]]:
-    """Per-benchmark comparison summaries for one managed suite.
-
-    With the default platform the suite runs through the engine
-    (parallelisable, cacheable); a hand-built ``machine`` falls back to
-    the inline :func:`run_suite` path, flattened to the same summary
-    shape.
-    """
-    if machine is None:
-        return dict(
-            run_comparison_suite(
-                benchmark_names,
-                governor=governor,
-                policy=policy,
-                n_intervals=n_intervals,
-                engine=engine,
-            ).to_dict()
-        )
-    from repro.exec.cells import build_governor
-
-    suite = run_suite(
-        benchmark_names,
-        lambda: build_governor(governor, policy),
-        machine,
-        n_intervals=n_intervals,
+    """Per-benchmark comparison summaries for one managed suite."""
+    return dict(
+        run_comparison_suite(
+            benchmark_names,
+            governor=governor,
+            policy=policy,
+            n_intervals=n_intervals,
+            engine=engine,
+        ).to_dict()
     )
-    return {
-        name: comparison_summary(
-            ComparisonMetrics(
-                baseline=result.baseline, managed=result.managed
-            ),
-            result.managed,
-        )
-        for name, result in suite.items()
-    }
 
 
 def _rate(metrics: Mapping[str, MetricValue], key: str) -> float:
@@ -133,7 +106,6 @@ def _rate(metrics: Mapping[str, MetricValue], key: str) -> float:
 def measure_claims(
     n_accuracy: int = 1000,
     n_intervals: int = 300,
-    machine: Optional[Machine] = None,
     engine: Optional[ExecutionEngine] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
@@ -143,8 +115,6 @@ def measure_claims(
     Args:
         n_accuracy: Trace length for predictor-accuracy claims.
         n_intervals: Trace length for full-system management claims.
-        machine: Platform override; forces the management suites onto
-            the inline path (custom machines cannot be content-hashed).
         engine: Execution engine (overrides ``jobs``/``cache``).
         jobs: Worker processes when no engine is given (1 = serial).
         cache: On-disk result cache when no engine is given.
@@ -211,10 +181,10 @@ def measure_claims(
 
     # -- management claims --------------------------------------------------
     gpht_suite = _suite_metrics(
-        FIG12_BENCHMARKS, "gpht", "table2", n_intervals, engine, machine
+        FIG12_BENCHMARKS, "gpht", "table2", n_intervals, engine
     )
     reactive_suite = _suite_metrics(
-        FIG12_BENCHMARKS, "reactive", "table2", n_intervals, engine, machine
+        FIG12_BENCHMARKS, "reactive", "table2", n_intervals, engine
     )
 
     equake = _rate(gpht_suite["equake_in"], "edp_improvement")
@@ -280,7 +250,7 @@ def measure_claims(
 
     # -- bounded degradation (Section 6.3) ----------------------------------
     bounded = _suite_metrics(
-        FIG13_BENCHMARKS, "gpht", "bounded", n_intervals, engine, machine
+        FIG13_BENCHMARKS, "gpht", "bounded", n_intervals, engine
     )
     worst_degradation = max(
         _rate(bounded[name], "performance_degradation")

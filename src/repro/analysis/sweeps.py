@@ -4,14 +4,14 @@ The paper's evaluation is built from sweeps — PHT sizes (Figure 5),
 frequencies (Figure 7), benchmarks (Figures 4/11).  This module packages
 the recurring sweep shapes behind one call each.  Every helper returns a
 typed :class:`~repro.exec.results.SweepResult` (cells + parameters +
-provenance); the old nested-dict shape is available via ``.to_dict()``
-and, transitionally, via deprecated dict-style access on the result
-itself.
+provenance); the old nested-dict shape is available via ``.to_dict()``.
 
 Execution goes through the :mod:`repro.exec` engine: pass ``engine=``
 (or ``jobs=``/``cache=``) to fan a sweep out over worker processes and
 memoise completed cells on disk.  Serial, parallel and cache-replayed
-runs produce bit-identical results.
+runs produce bit-identical results.  :func:`sweep_granularity` is the
+one exception: its governor factory cannot be content-hashed, so it
+computes inline.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.core.governor import Governor, StaticGovernor
 from repro.core.phases import PhaseTable
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
-from repro.exec.cells import comparison_summary
+from repro.exec.cells import comparison_summary, pinned_frequency_points
 from repro.exec.engine import ExecutionEngine, make_engine
 from repro.exec.results import Provenance, SweepCell, SweepResult
 from repro.exec.spec import ExperimentSpec
@@ -240,58 +240,20 @@ def sweep_granularity(
 def sweep_frequencies(
     benchmark_name: str,
     n_intervals: int = 50,
-    machine: Optional[Machine] = None,
     engine: Optional[ExecutionEngine] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
 ) -> SweepResult:
     """Run a benchmark pinned at every operating point (Figure 7 style).
 
-    With the default platform the sweep runs through the execution
-    engine (one ``pinned_frequency`` cell per operating point); passing
-    a hand-built ``machine`` — whose models cannot be content-hashed —
-    falls back to inline computation.
+    One ``pinned_frequency`` engine cell per operating point of the
+    default platform.
 
     Returns:
         A :class:`SweepResult` over axis ``(frequency_mhz,)``;
         ``.to_dict()`` restores the legacy ``{frequency_mhz: {"bips":
         ..., "power_w": ..., "upc": ..., "mem_per_uop": ...}}`` shape.
     """
-    parameters = (("benchmark", benchmark_name), ("n_intervals", n_intervals))
-    if machine is not None:
-        started = time.perf_counter()
-        trace = benchmark(benchmark_name).trace(n_intervals=n_intervals)
-        cells = []
-        for point in machine.speedstep:
-            run = machine.run(
-                trace, StaticGovernor(point), initial_point=point
-            )
-            records = [m.record for m in run.intervals]
-            cells.append(
-                SweepCell.create(
-                    (point.frequency_mhz,),
-                    {
-                        "bips": run.bips,
-                        "power_w": run.average_power_w,
-                        "upc": sum(r.upc for r in records) / len(records),
-                        "mem_per_uop": sum(r.mem_per_uop for r in records)
-                        / len(records),
-                    },
-                )
-            )
-        return SweepResult(
-            name="frequencies",
-            axes=("frequency_mhz",),
-            cells=tuple(cells),
-            parameters=parameters,
-            metric=None,
-            provenance=Provenance.inline(
-                len(cells), time.perf_counter() - started
-            ),
-        )
-
-    from repro.exec.cells import pinned_frequency_points
-
     frequencies = pinned_frequency_points()
     specs = [
         ExperimentSpec.create(
@@ -312,7 +274,10 @@ def sweep_frequencies(
         name="frequencies",
         axes=("frequency_mhz",),
         cells=tuple(cells),
-        parameters=parameters,
+        parameters=(
+            ("benchmark", benchmark_name),
+            ("n_intervals", n_intervals),
+        ),
         metric=None,
         provenance=report.provenance(),
     )

@@ -124,11 +124,6 @@ class PhasePredictionGovernor(Governor):
             readings (default: ``Mem/Uop``).  Provided so Section 4's
             UPC-classification pitfall can be demonstrated; production
             policies should keep the DVFS-invariant default.
-        record_decisions: Whether to keep every decision in
-            :attr:`decisions` (the offline-evaluation default).  A
-            long-running service (``repro.serve``) disables this so a
-            session's memory stays bounded; disabling never changes any
-            decision taken.
     """
 
     def __init__(

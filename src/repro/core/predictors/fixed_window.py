@@ -18,6 +18,11 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Deque, Dict, Iterable, List, Sequence, Tuple
 
+from repro.core.predictors._checkpoint import (
+    check_config,
+    check_kind,
+    int_list,
+)
 from repro.core.predictors.base import (
     PhaseObservation,
     PhasePredictor,
@@ -186,29 +191,15 @@ class FixedWindowPredictor(PhasePredictor):
         }
 
     def restore_state(self, state: PredictorState) -> None:
-        if state.get("kind") != "fixed_window":
-            raise ConfigurationError(
-                f"checkpoint kind {state.get('kind')!r} is not 'fixed_window'"
-            )
-        for key, expected in (
-            ("window_size", self._window_size),
-            ("selector", self._selector),
-        ):
-            if state.get(key) != expected:
-                raise ConfigurationError(
-                    f"checkpoint {key}={state.get(key)!r} does not match "
-                    f"this predictor's {key}={expected!r}"
-                )
-        raw = state.get("window")
-        if not isinstance(raw, list):
-            raise ConfigurationError("checkpoint 'window' must be a list")
-        window = []
-        for value in raw:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"window entries must be ints, got {value!r}"
-                )
-            window.append(value)
+        check_kind(state, "fixed_window")
+        check_config(
+            state,
+            (
+                ("window_size", self._window_size),
+                ("selector", self._selector),
+            ),
+        )
+        window = int_list(state, "window")
         if len(window) > self._window_size:
             raise ConfigurationError(
                 f"checkpoint window holds {len(window)} entries, size is "

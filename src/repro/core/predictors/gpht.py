@@ -33,6 +33,13 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Deque, List, Optional, Sequence, Tuple
 
+from repro.core.predictors._checkpoint import (
+    as_int,
+    as_opt_int,
+    check_config,
+    check_kind,
+    int_list,
+)
 from repro.core.predictors.base import (
     PhaseObservation,
     PhasePredictor,
@@ -355,21 +362,16 @@ class GPHTPredictor(PhasePredictor):
         }
 
     def restore_state(self, state: PredictorState) -> None:
-        if state.get("kind") != "gpht":
-            raise ConfigurationError(
-                f"checkpoint kind {state.get('kind')!r} is not 'gpht'"
-            )
-        for key, expected in (
-            ("gphr_depth", self._depth),
-            ("pht_entries", self._capacity),
-            ("replacement", self._replacement),
-        ):
-            if state.get(key) != expected:
-                raise ConfigurationError(
-                    f"checkpoint {key}={state.get(key)!r} does not match "
-                    f"this predictor's {key}={expected!r}"
-                )
-        gphr = _int_list(state, "gphr")
+        check_kind(state, "gpht")
+        check_config(
+            state,
+            (
+                ("gphr_depth", self._depth),
+                ("pht_entries", self._capacity),
+                ("replacement", self._replacement),
+            ),
+        )
+        gphr = int_list(state, "gphr")
         if len(gphr) != self._depth:
             raise ConfigurationError(
                 f"checkpoint GPHR has {len(gphr)} entries, expected "
@@ -389,13 +391,13 @@ class GPHTPredictor(PhasePredictor):
                     f"malformed PHT checkpoint entry: {entry!r}"
                 )
             tag_values, stored = entry
-            tag = tuple(_as_int(v, "PHT tag") for v in tag_values)
+            tag = tuple(as_int(v, "PHT tag") for v in tag_values)
             if len(tag) != self._depth:
                 raise ConfigurationError(
                     f"PHT tag {tag} has length {len(tag)}, expected "
                     f"{self._depth}"
                 )
-            pht[tag] = None if stored is None else _as_int(stored, "PHT value")
+            pht[tag] = as_opt_int(stored, "PHT value")
         if len(pht) > self._capacity:
             raise ConfigurationError(
                 f"checkpoint holds {len(pht)} PHT entries, capacity is "
@@ -408,24 +410,9 @@ class GPHTPredictor(PhasePredictor):
                 raise ConfigurationError(
                     f"malformed pending_tag: {raw_pending!r}"
                 )
-            pending = tuple(_as_int(v, "pending tag") for v in raw_pending)
+            pending = tuple(as_int(v, "pending tag") for v in raw_pending)
         self._gphr = deque(gphr, maxlen=self._depth)
         self._pht = pht
         self._pending_tag = pending
-        self._hits = _as_int(state.get("hits", 0), "hits")
-        self._misses = _as_int(state.get("misses", 0), "misses")
-
-
-def _as_int(value: object, label: str) -> int:
-    """Narrow a checkpoint scalar to int (bools are not phase ids)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{label} must be an int, got {value!r}")
-    return value
-
-
-def _int_list(state: PredictorState, key: str) -> List[int]:
-    """Extract a list-of-ints field from a checkpoint payload."""
-    raw = state.get(key)
-    if not isinstance(raw, list):
-        raise ConfigurationError(f"checkpoint {key!r} must be a list")
-    return [_as_int(v, key) for v in raw]
+        self._hits = as_int(state.get("hits", 0), "hits")
+        self._misses = as_int(state.get("misses", 0), "misses")

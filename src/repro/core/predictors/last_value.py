@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from repro.core.predictors._checkpoint import as_int, check_kind
 from repro.core.predictors.base import (
     PhaseObservation,
     PhasePredictor,
@@ -70,16 +71,9 @@ class LastValuePredictor(PhasePredictor):
         }
 
     def restore_state(self, state: PredictorState) -> None:
-        if state.get("kind") != "last_value":
-            raise ConfigurationError(
-                f"checkpoint kind {state.get('kind')!r} is not 'last_value'"
-            )
-        last_phase = state.get("last_phase")
+        check_kind(state, "last_value")
+        last_phase = as_int(state.get("last_phase"), "last_phase")
         seen_any = state.get("seen_any")
-        if isinstance(last_phase, bool) or not isinstance(last_phase, int):
-            raise ConfigurationError(
-                f"last_phase must be an int, got {last_phase!r}"
-            )
         if not isinstance(seen_any, bool):
             raise ConfigurationError(
                 f"seen_any must be a bool, got {seen_any!r}"

@@ -371,15 +371,6 @@ class CallGraph:
 
     # -- queries ------------------------------------------------------------
 
-    def module_symbol(
-        self, module_name: str, name: str
-    ) -> Optional[Tuple[str, str]]:
-        """The (kind, value) a bare name resolves to inside a module."""
-        scope = self._scopes.get(module_name)
-        if scope is None:
-            return None
-        return scope.symbols.get(name)
-
     def async_functions(self) -> List[FunctionInfo]:
         """Every ``async def`` in the project."""
         return [info for info in self.functions.values() if info.is_async]

@@ -157,9 +157,6 @@ class Project:
         self._modules: Dict[str, ProjectModule] = {}
         for module in modules:
             self._modules[module.name] = module
-        self._by_path: Dict[str, ProjectModule] = {
-            module.path: module for module in self._modules.values()
-        }
         self._callgraph: Optional[CallGraph] = None
 
     # -- construction -------------------------------------------------------
@@ -195,10 +192,6 @@ class Project:
     def get(self, name: str) -> Optional[ProjectModule]:
         """The module with exactly this dotted name, if present."""
         return self._modules.get(name)
-
-    def by_path(self, path: str) -> Optional[ProjectModule]:
-        """The module parsed from ``path``, if present."""
-        return self._by_path.get(path)
 
     def find_suffix(self, suffix: str) -> Optional[ProjectModule]:
         """The unique module whose dotted name ends with ``suffix``.

@@ -29,9 +29,3 @@ class SimulationError(ReproError):
     running a workload on a machine whose PMI handler was never
     registered) rather than bad input values.
     """
-
-
-class CounterOverflowError(SimulationError):
-    """A performance counter was advanced past its configured capacity
-    without an interrupt handler being available to service the overflow.
-    """

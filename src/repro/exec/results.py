@@ -6,10 +6,10 @@ cells, the fixed parameters of the sweep and the provenance of its
 execution (backend, cache hit-rate, timing), and serialises losslessly
 through ``to_payload``/``from_payload``.
 
-Migration shims: ``to_dict()`` renders the *old* nested-dict shape, and
-dict-style access on the result object itself (``result["applu_in"]``,
-iteration, ``len``) still works but emits a :class:`DeprecationWarning`
-— see ``docs/execution_engine.md`` for the migration table.
+Migration: ``to_dict()`` renders the *old* nested-dict shape and
+``from_dict()`` reads it back; dict-style access on the result object
+itself is gone — see ``docs/execution_engine.md`` for the migration
+table.
 """
 
 from __future__ import annotations

@@ -56,8 +56,8 @@ class MachineConfig:
     """Hashable description of a simulated platform.
 
     Only configurations expressible by value can participate in the
-    engine; experiments on a hand-built :class:`Machine` (custom timing
-    or power models) use the inline paths of the sweep helpers instead.
+    engine; an experiment on a hand-built :class:`Machine` (custom
+    timing or power models) calls :meth:`Machine.run` directly.
 
     Attributes:
         granularity_uops: PMI pacing in retired micro-ops.

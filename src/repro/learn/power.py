@@ -111,18 +111,6 @@ class LearnedPowerModel:
         result: np.ndarray = self._tree.predict(features)
         return result
 
-    def predict_power(
-        self, upc: float, mem_per_uop: float, frequency_mhz: float
-    ) -> float:
-        """Predicted watts for one interval's counters."""
-        if self._tree is None:
-            raise ConfigurationError(
-                "power model is untrained; call fit() or restore_state()"
-            )
-        return float(
-            self._tree.predict_one([upc, mem_per_uop, frequency_mhz])
-        )
-
     def evaluate(self, dataset: PowerDataset) -> PowerModelEvaluation:
         """Score the model against a dataset's measured power."""
         predicted = self.predict(dataset.features)

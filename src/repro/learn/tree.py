@@ -152,11 +152,6 @@ class DecisionTree:
         return len(self._feature)
 
     @property
-    def leaf_count(self) -> int:
-        """Number of leaves."""
-        return sum(1 for f in self._feature if f == LEAF)
-
-    @property
     def depth(self) -> int:
         """Maximum number of internal tests on any root-to-leaf path.
 

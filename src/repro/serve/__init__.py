@@ -81,6 +81,7 @@ from repro.serve.replay import (
     replay_trace,
 )
 from repro.serve.session import (
+    MAX_GPHR_DEPTH,
     SESSION_GOVERNORS,
     BatchOutcomes,
     PhaseSession,
@@ -110,6 +111,7 @@ __all__ = [
     "DEFAULT_QUEUE_DEPTH",
     "LoadgenResult",
     "MAX_BATCH_SAMPLES",
+    "MAX_GPHR_DEPTH",
     "MIGRATED_CLOSE_REASON",
     "OverloadedError",
     "PROTOCOL_VERSION",

@@ -71,6 +71,13 @@ SESSION_GOVERNORS = (
     "markov",
 )
 
+#: Largest GPHT history depth a session accepts.  The predictor
+#: allocates its GPHR eagerly and every PHT tag holds ``gphr_depth``
+#: phases, so an unbounded depth would let one ``hello`` allocate at
+#: will and grow ``snapshot`` answers past the wire's line limit.  The
+#: deepest history the repo studies is 16 (the GPHR-depth ablation).
+MAX_GPHR_DEPTH = 64
+
 #: Checkpoint / wire payload: JSON-able scalars and containers only.
 Payload = Dict[str, object]
 
@@ -87,7 +94,8 @@ class SessionConfig:
             (an order-``k`` smoothed Markov predictor).
         policy: Phase-to-DVFS policy registry name (see
             :func:`repro.exec.cells.build_policy`).
-        gphr_depth: GPHT history depth (``gpht`` only).
+        gphr_depth: GPHT history depth (``gpht`` only), at most
+            :data:`MAX_GPHR_DEPTH`.
         pht_entries: GPHT pattern-table capacity (``gpht`` only).
         window_size: Sliding-window length (``fixed_window`` only).
         history_length: Feature-window length (``learned_tree`` only).
@@ -115,6 +123,11 @@ class SessionConfig:
             raise ConfigurationError(
                 f"unknown session governor {self.governor!r}; "
                 f"known: {SESSION_GOVERNORS}"
+            )
+        if self.gphr_depth > MAX_GPHR_DEPTH:
+            raise ConfigurationError(
+                f"gphr_depth must be <= {MAX_GPHR_DEPTH}, got "
+                f"{self.gphr_depth}"
             )
         if self.latency_budget_s is not None and self.latency_budget_s <= 0:
             raise ConfigurationError(
@@ -259,7 +272,7 @@ class BatchOutcomes(Sequence[SampleOutcome]):
     outcomes — but stores the response fields as parallel columns and
     only materializes ``SampleOutcome`` objects on access.  Building one
     frozen dataclass per sample costs more than the entire batched
-    decision cycle, so the fast path never does: the wire layer
+    decision cycle, so the columnar kernel never does: the wire layer
     serializes straight from :meth:`rows`.
     """
 
@@ -292,7 +305,8 @@ class BatchOutcomes(Sequence[SampleOutcome]):
     def from_outcomes(
         cls, start_interval: int, outcomes: Sequence[SampleOutcome]
     ) -> "BatchOutcomes":
-        """Column-pack already-materialized outcomes (the slow paths)."""
+        """Column-pack already-materialized outcomes (the budgeted
+        per-sample loop of :meth:`PhaseSession.feed_batch`)."""
         return cls(
             start_interval,
             [outcome.actual_phase for outcome in outcomes],
@@ -559,11 +573,15 @@ class PhaseSession:
         test_serve_batching.py`` holds every governor to this for every
         partition of a stream into batches.
 
-        **Fast path:** without a latency budget no per-sample clock
-        reads are needed, so a session in its normal state takes the
-        vectorized route (:meth:`PhaseTable.classify_batch` + the
-        predictor's :meth:`~repro.core.predictors.base.PhasePredictor.
-        predict_batch` kernel) instead of N scalar decision cycles.
+        **Two bodies:** a latency budget is active when the session has
+        both a clock and a budget.  Without one no per-sample clock
+        reads are needed, so every batch, in normal or degraded mode,
+        runs the columnar kernel (:meth:`PhaseTable.classify_batch` plus
+        the predictor's :meth:`~repro.core.predictors.base.
+        PhasePredictor.predict_batch`, or its ``observe_batch`` while
+        degraded) instead of N scalar decision cycles.  With one, the
+        batch loops the scalar cycle, reading the clock twice per
+        sample.
 
         **Per-batch accounting:** metrics are updated once per batch
         (``serve.samples += N``, one ``serve.batch_size`` observation,
@@ -610,11 +628,11 @@ class PhaseSession:
             )
         elif clock is not None:
             started = clock()
-            outcomes = self._feed_batch_unbudgeted(start_interval, samples)
+            outcomes = self._feed_kernel(start_interval, samples)
             if samples:
                 self._observe_latency(clock() - started)
         else:
-            outcomes = self._feed_batch_unbudgeted(start_interval, samples)
+            outcomes = self._feed_kernel(start_interval, samples)
         if self._metrics is not None and samples:
             self._metrics.counter("serve.samples").inc(len(samples))
             self._metrics.histogram("serve.batch_size").observe(
@@ -627,46 +645,27 @@ class PhaseSession:
                 )
         return outcomes
 
-    def _feed_batch_unbudgeted(
+    def _feed_kernel(
         self,
         start_interval: int,
         samples: Sequence[Tuple[float, float]],
     ) -> BatchOutcomes:
-        """Batch body when no per-sample latency accounting is needed.
+        """Columnar decision cycle for a validated batch.
 
-        Falls back to the scalar loop in the two states the fast path
-        does not model: a session stuck in degraded mode (possible only
-        via a restored checkpoint, since without a budget the state
-        machine never transitions) and a predictor with a live tracer
-        (the scalar cycle owns per-interval event emission).
-        """
-        if self._degraded or self.predictor.tracer.enabled:
-            return BatchOutcomes.from_outcomes(
-                start_interval,
-                [
-                    self._feed_one(start_interval + offset, mem_per_uop, upc)
-                    for offset, (mem_per_uop, upc) in enumerate(samples)
-                ],
-            )
-        return self._feed_batch_fast(start_interval, samples)
-
-    def _feed_batch_fast(
-        self,
-        start_interval: int,
-        samples: Sequence[Tuple[float, float]],
-    ) -> BatchOutcomes:
-        """Vectorized normal-mode decision cycle for a validated batch.
-
-        Mirrors N :meth:`_feed_one` calls exactly, column-at-a-time:
+        Mirrors N :meth:`_feed_one` calls exactly, column-at-a-time.
+        Without a latency budget the degradation state cannot change
+        mid-batch, so the whole batch runs in the session's current mode:
 
         * classification — :meth:`PhaseTable.classify_batch` over the raw
           ``mem_per_uop`` values (the scalar path's unit-µop synthetic
           counters reproduce the value bit-exactly, so classifying it
           directly is identical);
-        * prediction — the predictor's fused ``predict_batch`` cycle,
-          then the governor's range clamp (skipped wholesale when every
-          prediction is already in range, the overwhelmingly common
-          case);
+        * prediction — in normal mode the predictor's fused
+          ``predict_batch`` cycle, then the governor's range clamp
+          (skipped wholesale when every prediction is already in range,
+          the overwhelmingly common case); in degraded mode
+          ``observe_batch`` keeps the history warm and each prediction is
+          the sample's own phase, as in :meth:`_decide_degraded`;
         * policy translation — a cached phase→frequency map plus one
           bulk :meth:`DVFSPolicy.record_lookups` call, advancing the
           per-phase residency counters exactly as N ``setting_for``
@@ -674,7 +673,7 @@ class PhaseSession:
         * scoring — the first sample settles the carried-over pending
           prediction (degraded-tagged if it was made in degraded mode),
           every later sample scores its predecessor's prediction into
-          the normal counters.
+          the counters of the batch's mode.
 
         ``upc`` is ignored here as in the scalar path: it only feeds the
         synthetic TSC counter, which the Mem/Uop metric never reads.
@@ -685,12 +684,17 @@ class PhaseSession:
         mem_values = [sample[0] for sample in samples]
         table = self.phase_table
         actual = table.classify_batch(mem_values)
-        predicted = self.predictor.predict_batch(actual, mem_values)
-        num_phases = table.num_phases
-        if min(predicted) < 1 or max(predicted) > num_phases:
-            predicted = [
-                min(max(phase, 1), num_phases) for phase in predicted
-            ]
+        degraded = self._degraded
+        if degraded:
+            self.predictor.observe_batch(actual, mem_values)
+            predicted = actual
+        else:
+            predicted = self.predictor.predict_batch(actual, mem_values)
+            num_phases = table.num_phases
+            if min(predicted) < 1 or max(predicted) > num_phases:
+                predicted = [
+                    min(max(phase, 1), num_phases) for phase in predicted
+                ]
         frequency_map = self._frequency_by_phase
         if frequency_map is None:
             frequency_map = {
@@ -721,13 +725,17 @@ class PhaseSession:
                 self._scored += 1
                 if first_hit:
                     self._correct += 1
-        self._scored += len(rest_hits)
-        self._correct += sum(rest_hits)
+        if degraded:
+            self._degraded_scored += len(rest_hits)
+            self._degraded_correct += sum(rest_hits)
+        else:
+            self._scored += len(rest_hits)
+            self._correct += sum(rest_hits)
         self._pending = predicted[-1]
-        self._pending_degraded = False
+        self._pending_degraded = degraded
         self._samples += n
         return BatchOutcomes(
-            start_interval, actual, predicted, frequencies, [False] * n, hits
+            start_interval, actual, predicted, frequencies, [degraded] * n, hits
         )
 
     @staticmethod

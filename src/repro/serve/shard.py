@@ -493,24 +493,9 @@ class ShardedServer:
         return self._workers
 
     @property
-    def router_port(self) -> Optional[int]:
-        """The router's bound port (``None`` before :meth:`start`)."""
-        return self._router_port
-
-    @property
-    def worker_ports(self) -> Tuple[int, ...]:
-        """Each worker's bound port, by shard index."""
-        return tuple(self._worker_ports)
-
-    @property
     def metrics(self) -> MetricsRegistry:
         """Router-side metrics (requests routed, worker failures)."""
         return self._metrics
-
-    @property
-    def checkpoint_path(self) -> Optional[str]:
-        """The active checkpoint directory (``None`` when disabled)."""
-        return self._checkpoint_path
 
     def _worker_args(
         self, index: int, overrides: Dict[str, int]

@@ -27,14 +27,6 @@ _MEM_BOUNDS = (0.0, 0.2)
 _UPC_BOUNDS = (0.05, 2.0)
 
 
-@dataclass(frozen=True)
-class BehaviorSample:
-    """One sampling interval's behaviour: the two generator outputs."""
-
-    mem_per_uop: float
-    upc_core: float
-
-
 class BehaviorPattern(ABC):
     """A generator of per-interval ``(mem_per_uop, upc_core)`` series."""
 

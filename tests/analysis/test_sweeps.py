@@ -147,15 +147,6 @@ class TestFrequencySweep:
         upcs = [result.value(f, metric="upc") for f in frequencies]
         assert all(b > a for a, b in zip(upcs, upcs[1:]))
 
-    def test_custom_machine_matches_engine_path(self):
-        from repro.system.machine import Machine
-
-        inline = sweep_frequencies("swim_in", n_intervals=15, machine=Machine())
-        engine = sweep_frequencies("swim_in", n_intervals=15)
-        assert inline.provenance is not None
-        assert inline.provenance.runner == "inline"
-        assert inline == engine  # provenance excluded from equality
-
     def test_full_round_trip_through_legacy_shape(self):
         result = sweep_frequencies("swim_in", n_intervals=15)
         rebuilt = SweepResult.from_dict(

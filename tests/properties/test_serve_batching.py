@@ -10,13 +10,16 @@ closes the chain: batched wire traffic *is* the offline evaluator.
 The degradation case is covered with a scripted clock: when a latency
 budget is set, the state machine runs per sample inside a batch, so
 mid-batch degradation entry/exit also matches single-sample feeding.
+A session restored degraded without a clock stays degraded, and its
+batches run the columnar kernel's degraded branch; that case is
+covered for every session governor.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.phases import PhaseTable
-from repro.serve import PhaseSession, SessionConfig
+from repro.serve import SESSION_GOVERNORS, PhaseSession, SessionConfig
 
 TABLE = PhaseTable()
 
@@ -126,3 +129,53 @@ def test_partition_invariant_under_degradation(series, fractions, latencies):
     assert batch_session.degraded == single_session.degraded
     assert batch_session.degraded_events == single_session.degraded_events
     assert batch_session.snapshot() == single_session.snapshot()
+
+
+@pytest.mark.parametrize("governor", SESSION_GOVERNORS)
+@given(
+    warmup=st.lists(mem_values, min_size=1, max_size=20),
+    series=mem_series,
+    fractions=cut_fractions,
+    latencies=st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_restored_degraded_session_batches_identically(
+    governor, warmup, series, fractions, latencies
+):
+    # Warm up under a budget with the last sample over it, so the
+    # session ends degraded; the pending prediction is degraded-tagged
+    # only when an earlier sample had already tipped it over.
+    per_sample = [
+        latencies.draw(st.sampled_from([0.1, 5.0]), label=f"latency{i}")
+        for i in range(len(warmup) - 1)
+    ] + [5.0]
+    ticks = [
+        tick
+        for i, latency in enumerate(per_sample)
+        for tick in (10.0 * i, 10.0 * i + latency)
+    ]
+    config = SessionConfig(
+        governor=governor, latency_budget_s=1.0, cooldown=2
+    )
+    _, warm = feed_singly(config, warmup, clock=ScriptedClock(ticks))
+    assert warm.degraded
+    checkpoint = warm.snapshot()
+
+    single = PhaseSession.from_snapshot(checkpoint)
+    start = len(warmup)
+    single_outcomes = [
+        single.feed(start + i, value) for i, value in enumerate(series)
+    ]
+    batched = PhaseSession.from_snapshot(checkpoint)
+    batch_outcomes = []
+    for batch in partition(series, fractions):
+        batch_outcomes.extend(
+            batched.feed_batch(start, [(value, 0.0) for value in batch])
+        )
+        start += len(batch)
+
+    assert batch_outcomes == single_outcomes
+    assert all(outcome.degraded for outcome in batch_outcomes)
+    assert batched.snapshot() == single.snapshot()
+    # stats() carries degraded_scored and degraded_correct.
+    assert batched.stats() == single.stats()

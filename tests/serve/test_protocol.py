@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.serve import (
+    MAX_GPHR_DEPTH,
     PROTOCOL_VERSION,
     SessionManager,
     handle_line,
@@ -523,6 +524,54 @@ class TestNonFiniteConfig:
         assert response["ok"] is False, response
         assert response["error"] == "bad_request"
         assert manager.active_sessions == 1
+
+
+class TestGphrDepthLimit:
+    """``gphr_depth`` is bounded at ``hello`` and ``restore`` alike."""
+
+    @staticmethod
+    def snapshot(manager, session):
+        return handle_request(
+            manager, {"op": "snapshot", "session": session}
+        )["checkpoint"]
+
+    @staticmethod
+    def assert_names_the_limit(response):
+        assert response["ok"] is False, response
+        assert response["error"] == "bad_request"
+        assert "gphr_depth" in response["message"]
+        assert str(MAX_GPHR_DEPTH) in response["message"]
+
+    def test_hello_at_the_limit_opens(self, manager):
+        session = hello(manager, gphr_depth=MAX_GPHR_DEPTH)
+        checkpoint = self.snapshot(manager, session)
+        assert checkpoint["config"]["gphr_depth"] == MAX_GPHR_DEPTH
+
+    def test_hello_over_the_limit_is_bad_request(self, manager):
+        response = handle_request(
+            manager, {"op": "hello", "gphr_depth": MAX_GPHR_DEPTH + 1}
+        )
+        self.assert_names_the_limit(response)
+        assert manager.active_sessions == 0
+
+    def test_restore_at_the_limit_and_over_it(self, manager):
+        session = hello(manager, gphr_depth=MAX_GPHR_DEPTH)
+        checkpoint = self.snapshot(manager, session)
+        restored = handle_request(
+            manager, {"op": "restore", "checkpoint": checkpoint}
+        )
+        assert restored["ok"] is True, restored
+        # One deeper, with the predictor's history register deepened to
+        # match, so only the limit stands in the way.
+        checkpoint["config"]["gphr_depth"] = MAX_GPHR_DEPTH + 1
+        predictor = checkpoint["predictor"]
+        predictor["gphr_depth"] = MAX_GPHR_DEPTH + 1
+        predictor["gphr"].append(predictor["gphr"][-1])
+        response = handle_request(
+            manager, {"op": "restore", "checkpoint": checkpoint}
+        )
+        self.assert_names_the_limit(response)
+        assert manager.active_sessions == 2
 
 
 class TestProtocolNegotiation:
