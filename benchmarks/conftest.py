@@ -10,9 +10,10 @@ The ``report`` fixture persists two renderings of every artifact:
 * ``results/<name>.txt`` — the human-readable table/figure text;
 * ``results/<name>.json`` — a schema-valid, versioned
   :class:`repro.bench.BenchResult` with host provenance.  Deterministic
-  scalars go in ``metrics`` (gated by ``repro bench compare``),
-  wall-clock rates in ``measured`` (gated only under
-  ``REPRO_BENCH_ENFORCE=1``), free-form context in ``details``.
+  scalars go in ``metrics`` and deterministic context (grids, per-cell
+  tables) in ``details``, both compared exactly by ``repro bench
+  compare``; wall-clock rates go in ``measured`` (gated only under
+  ``REPRO_BENCH_ENFORCE=1``).
 
 ``REPRO_BENCH_OUT`` redirects the results directory — ``repro bench
 run`` points it at a scratch dir so committed baselines are only ever

@@ -6,14 +6,15 @@ artifacts under ``benchmarks/results/``.  This package is the contract
 around them:
 
 * :mod:`repro.bench.schema` — the :class:`BenchResult` artifact schema
-  (deterministic comparable payload vs wall-clock ``measured`` block,
-  host provenance);
-* :mod:`repro.bench.registry` — which modules exist, their tags and
-  per-metric improvement directions;
+  (the exact ``parameters``/``metrics``/``details`` blocks vs the
+  wall-clock ``measured`` block, host provenance);
+* :mod:`repro.bench.registry` — which modules exist, their tags, and
+  which way each ``measured`` value improves;
 * :mod:`repro.bench.runner` — executes registered benches through the
   sweep engine (``bench_module`` cells);
-* :mod:`repro.bench.compare` — the regression gate behind
-  ``repro bench compare``;
+* :mod:`repro.bench.compare` — the gate behind ``repro bench compare``:
+  exact blocks must equal the baseline, ``measured`` is gated only
+  when enforced;
 * :mod:`repro.bench.gate` — the ``REPRO_BENCH_ENFORCE`` contract and
   elapsed-time sanity checks benches call directly.
 """

@@ -1,46 +1,52 @@
 """The regression gate: diff a results directory against baselines.
 
 ``repro bench compare`` loads two directories of current-schema
-artifacts, matches them by artifact name and diffs every metric whose
-direction the registry declares:
+artifacts and matches them by artifact name.  One rule decides:
 
-* ``metrics`` (deterministic) are gated unconditionally;
-* ``measured`` (wall-clock) are gated only in enforce mode
-  (``--enforce`` or ``REPRO_BENCH_ENFORCE=1``) — on shared runners
-  they are reported, never failed.
+* the exact blocks (:data:`~repro.bench.schema.EXACT_BLOCKS`:
+  ``parameters``, ``metrics``, ``details``) must equal the baseline
+  exactly — any difference, however small, marks the artifact
+  ``drifted`` and names each differing key;
+* ``measured`` (wall-clock) values are gated only in enforce mode
+  (``--enforce`` or ``REPRO_BENCH_ENFORCE=1``): one regresses when it
+  moves against its direction by more than the relative tolerance
+  (default 10%).  Otherwise they are reported, never failed.
 
-A gated metric regresses when it moves against its declared direction
-by more than the relative tolerance (default 10%).  A current artifact
-with no committed baseline is a failure, not a silent pass; baselines
-with no current counterpart are fine (CI compares the smoke subset
-against the full committed set).
+A current artifact with no committed baseline is a failure, not a
+silent pass; baselines with no current counterpart are fine (CI
+compares a subset against the full committed set).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.bench.gate import perf_enforced
 from repro.bench.registry import HIGHER, metric_direction
-from repro.bench.schema import BenchFormatError, validate_payload
+from repro.bench.schema import (
+    EXACT_BLOCKS,
+    BenchFormatError,
+    validate_payload,
+)
 from repro.errors import ConfigurationError
 
 #: Default relative tolerance before a gated move counts as a regression.
 DEFAULT_TOLERANCE = 0.10
 
+#: Stands in for a key one side of a comparison does not have.
+_ABSENT = object()
+
 
 @dataclass(frozen=True)
 class MetricDelta:
-    """One metric diffed between a current artifact and its baseline.
+    """One ``measured`` value diffed between a run and its baseline.
 
     Attributes:
-        artifact: Owning artifact name.
-        metric: Metric name.
-        kind: ``"metric"`` (deterministic) or ``"measured"`` (wall-clock).
+        metric: Measured value name.
         direction: Declared direction, or ``None`` when undeclared.
         baseline: Baseline value.
         current: Current value.
@@ -50,9 +56,7 @@ class MetricDelta:
         regressed: Whether it did.
     """
 
-    artifact: str
     metric: str
-    kind: str
     direction: Optional[str]
     baseline: float
     current: float
@@ -62,11 +66,27 @@ class MetricDelta:
 
 
 @dataclass(frozen=True)
+class Drift:
+    """One exact-block value that differs from its baseline.
+
+    ``key`` is a path into the artifact (``metrics.q1_count``,
+    ``details.grid[3].samples``); ``baseline`` and ``current`` are the
+    values as canonical JSON text, or ``absent`` where a side lacks the
+    key.
+    """
+
+    key: str
+    baseline: str
+    current: str
+
+
+@dataclass(frozen=True)
 class ArtifactComparison:
     """Gate outcome for one artifact."""
 
     name: str
-    status: str  # "ok" | "regressed" | "missing_baseline"
+    status: str  # "ok" | "drifted" | "regressed" | "missing_baseline"
+    drifts: Tuple[Drift, ...] = ()
     deltas: Tuple[MetricDelta, ...] = ()
     notes: Tuple[str, ...] = ()
 
@@ -87,7 +107,7 @@ class CompareReport:
 
     @property
     def regressions(self) -> List[MetricDelta]:
-        """Every gated metric that regressed."""
+        """Every gated ``measured`` value that regressed."""
         return [
             delta
             for comparison in self.comparisons
@@ -96,39 +116,21 @@ class CompareReport:
         ]
 
     def exit_code(self) -> int:
-        """Process exit code: 0 clean, 1 on any regression/failure."""
+        """Process exit code: 0 clean, 1 on any drift or failure."""
         return 1 if self.failures else 0
 
     def to_payload(self) -> Dict[str, Any]:
-        """JSON-ready report."""
+        """JSON-ready report (an infinite ``change`` becomes ``None``)."""
+        artifacts = [asdict(comparison) for comparison in self.comparisons]
+        for delta in (d for a in artifacts for d in a["deltas"]):
+            if math.isinf(delta["change"]):
+                delta["change"] = None
         return {
             "tolerance": self.tolerance,
             "enforced": self.enforced,
             "ok": not self.failures,
             "baseline_only": list(self.baseline_only),
-            "artifacts": [
-                {
-                    "name": comparison.name,
-                    "status": comparison.status,
-                    "notes": list(comparison.notes),
-                    "deltas": [
-                        {
-                            "metric": delta.metric,
-                            "kind": delta.kind,
-                            "direction": delta.direction,
-                            "baseline": delta.baseline,
-                            "current": delta.current,
-                            "change": None
-                            if math.isinf(delta.change)
-                            else delta.change,
-                            "gated": delta.gated,
-                            "regressed": delta.regressed,
-                        }
-                        for delta in comparison.deltas
-                    ],
-                }
-                for comparison in self.comparisons
-            ],
+            "artifacts": artifacts,
         }
 
     def render_text(self) -> str:
@@ -136,13 +138,19 @@ class CompareReport:
         lines: List[str] = []
         mode = "enforced (wall-clock gated)" if self.enforced else "default"
         lines.append(
-            f"bench compare: tolerance {self.tolerance:.0%}, mode {mode}"
+            f"bench compare: exact {', '.join(EXACT_BLOCKS)}; measured "
+            f"tolerance {self.tolerance:.0%}, mode {mode}"
         )
         for comparison in self.comparisons:
             marker = "ok " if comparison.status == "ok" else "FAIL"
             lines.append(f"[{marker}] {comparison.name}: {comparison.status}")
             for note in comparison.notes:
                 lines.append(f"       note: {note}")
+            for drift in comparison.drifts:
+                lines.append(
+                    f"       DRIFT {drift.key} {drift.baseline} -> "
+                    f"{drift.current}"
+                )
             for delta in comparison.deltas:
                 if not delta.regressed and abs(delta.change) <= 1e-12:
                     continue
@@ -155,7 +163,7 @@ class CompareReport:
                     "gated" if delta.gated else "informational"
                 )
                 lines.append(
-                    f"       {delta.kind}:{delta.metric} "
+                    f"       measured:{delta.metric} "
                     f"{delta.baseline:g} -> {delta.current:g} "
                     f"({change}, {status})"
                 )
@@ -176,7 +184,9 @@ def load_results_dir(path: Path) -> Dict[str, Dict[str, Any]]:
 
     Returns artifact payloads keyed by artifact name.  A missing or
     file-typed path raises :class:`ConfigurationError`; an unreadable or
-    malformed artifact raises :class:`BenchFormatError` naming the file.
+    malformed artifact, or one whose ``name`` is not its file stem (two
+    files would then claim one name), raises :class:`BenchFormatError`
+    naming the file.
     """
     if not path.is_dir():
         raise ConfigurationError(
@@ -194,8 +204,39 @@ def load_results_dir(path: Path) -> Dict[str, Dict[str, Any]]:
             validate_payload(raw)
         except BenchFormatError as error:
             raise BenchFormatError(f"{artifact_path}: {error}") from None
-        payloads[str(raw["name"])] = raw
+        if raw["name"] != artifact_path.stem:
+            raise BenchFormatError(
+                f"{artifact_path}: artifact name {raw['name']!r} is not "
+                f"the file stem {artifact_path.stem!r}"
+            )
+        payloads[artifact_path.stem] = raw
     return payloads
+
+
+def _canonical(value: Any) -> str:
+    return "absent" if value is _ABSENT else json.dumps(value, sort_keys=True)
+
+
+def _drifts(key: str, baseline: Any, current: Any) -> Iterator[Drift]:
+    """Every leaf under ``key`` whose canonical JSON differs."""
+    if isinstance(baseline, dict) and isinstance(current, dict):
+        for child in sorted(set(baseline) | set(current)):
+            yield from _drifts(
+                f"{key}.{child}",
+                baseline.get(child, _ABSENT),
+                current.get(child, _ABSENT),
+            )
+    elif (
+        isinstance(baseline, list)
+        and isinstance(current, list)
+        and len(baseline) == len(current)
+    ):
+        for index, pair in enumerate(zip(baseline, current)):
+            yield from _drifts(f"{key}[{index}]", *pair)
+    else:
+        before, after = _canonical(baseline), _canonical(current)
+        if before != after:
+            yield Drift(key, before, after)
 
 
 def _relative_change(baseline: float, current: float) -> float:
@@ -207,48 +248,43 @@ def _relative_change(baseline: float, current: float) -> float:
     return delta / abs(baseline)
 
 
-def _diff_block(
-    artifact: str,
-    kind: str,
+def _diff_measured(
     current: Mapping[str, Any],
     baseline: Mapping[str, Any],
     tolerance: float,
-    gate_kind: bool,
+    enforced: bool,
     notes: List[str],
 ) -> List[MetricDelta]:
     deltas: List[MetricDelta] = []
     for metric in sorted(current):
         if metric not in baseline:
-            notes.append(f"{kind}:{metric} has no baseline value (new)")
+            notes.append(f"measured:{metric} has no baseline value (new)")
             continue
         base_value = float(baseline[metric])
         cur_value = float(current[metric])
-        direction = metric_direction(artifact, metric)
+        direction = metric_direction(metric)
         change = _relative_change(base_value, cur_value)
-        gated = gate_kind and direction is not None
+        gated = enforced and direction is not None
         worsened = (
             change < -tolerance
             if direction == HIGHER
             else change > tolerance
         )
-        regressed = gated and worsened
         deltas.append(
             MetricDelta(
-                artifact=artifact,
                 metric=metric,
-                kind=kind,
                 direction=direction,
                 baseline=base_value,
                 current=cur_value,
                 change=change,
                 gated=gated,
-                regressed=regressed,
+                regressed=gated and worsened,
             )
         )
     for metric in sorted(baseline):
         if metric not in current:
             notes.append(
-                f"{kind}:{metric} present in baseline but missing from "
+                f"measured:{metric} present in baseline but missing from "
                 "the current run"
             )
     return deltas
@@ -262,6 +298,7 @@ def compare_results(
 ) -> CompareReport:
     """Diff current artifacts against baselines under the gate rules.
 
+    ``tolerance`` and ``enforce`` apply to ``measured`` only;
     ``enforce=None`` defers to the :data:`~repro.bench.gate.ENFORCE_ENV`
     environment contract.
     """
@@ -287,32 +324,32 @@ def compare_results(
             )
             continue
         base = baseline[name]
-        notes: List[str] = []
-        deltas = _diff_block(
-            name,
-            "metric",
-            payload.get("metrics", {}),
-            base.get("metrics", {}),
-            tolerance,
-            gate_kind=True,
-            notes=notes,
+        drifts = tuple(
+            drift
+            for block in EXACT_BLOCKS
+            for drift in _drifts(
+                block, base.get(block, _ABSENT), payload.get(block, _ABSENT)
+            )
         )
-        deltas += _diff_block(
-            name,
-            "measured",
+        notes: List[str] = []
+        deltas = _diff_measured(
             payload.get("measured", {}),
             base.get("measured", {}),
             tolerance,
-            gate_kind=enforced,
-            notes=notes,
+            enforced,
+            notes,
         )
-        status = (
-            "regressed" if any(d.regressed for d in deltas) else "ok"
-        )
+        if drifts:
+            status = "drifted"
+        elif any(delta.regressed for delta in deltas):
+            status = "regressed"
+        else:
+            status = "ok"
         comparisons.append(
             ArtifactComparison(
                 name=name,
                 status=status,
+                drifts=drifts,
                 deltas=tuple(deltas),
                 notes=tuple(notes),
             )

@@ -1,64 +1,23 @@
-"""The benchmark registry: modules, tags, artifacts, metric directions.
+"""The benchmark registry: modules, tags, artifacts, measured directions.
 
 One :class:`BenchSpec` per module under ``benchmarks/`` records which
-artifacts the module emits, which tag-addressable subsets it belongs to
-(``repro bench run --tag figures``) and, for gated metrics, which
-direction counts as an improvement.  The regression gate only enforces
-metrics whose direction it can resolve here — everything else is
-reported informationally.
+artifacts the module emits and which tag-addressable subsets it belongs
+to (``repro bench run --tag figures``).  :func:`metric_direction` says
+which way a wall-clock ``measured`` value improves; it matters only
+when the gate enforces ``measured``, since every deterministic value is
+compared exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
 #: Direction literals: ``higher`` means larger values are better.
 HIGHER = "higher"
 LOWER = "lower"
-
-#: Exact metric names with a globally declared direction.
-METRIC_DIRECTIONS: Mapping[str, str] = {
-    "speedup": HIGHER,
-    "speedup_vs_wire_baseline": HIGHER,
-    "mean_edp_improvement": HIGHER,
-    "gap_captured": HIGHER,
-    "slowdown": LOWER,
-    "peak_temperature_c": LOWER,
-}
-
-#: Key suffixes that imply a direction when no exact entry matches.
-_HIGHER_SUFFIXES = (
-    "accuracy",
-    "improvement",
-    "savings",
-    "speedup",
-    "samples_per_s",
-    "requests_per_s",
-    "per_s",
-    "bips",
-    "throughput",
-    "wins",
-    "gap_captured",
-)
-_LOWER_SUFFIXES = (
-    "misprediction_rate",
-    "degradation",
-    "overhead_units",
-    "overhead_fraction",
-    "seconds",
-    "latency_us",
-    "us_per_sample",
-    "us_per_request",
-    "divergence",
-    "transition_count",
-    "slowdown",
-    "us_per_decision",
-    "peak_temperature_c",
-    "power_error_w",
-)
 
 
 @dataclass(frozen=True)
@@ -70,29 +29,24 @@ class BenchSpec:
         module: Filename under ``benchmarks/``.
         tags: Subset labels addressable via ``--tag``.
         artifacts: Artifact names the module writes to the results dir.
-        directions: Per-metric direction overrides for this module's
-            artifacts (metric name -> ``higher``/``lower``).
     """
 
     name: str
     module: str
     tags: Tuple[str, ...]
     artifacts: Tuple[str, ...]
-    directions: Mapping[str, str] = field(default_factory=dict)
 
 
 def _spec(
     name: str,
     tags: Sequence[str],
     artifacts: Optional[Sequence[str]] = None,
-    directions: Optional[Mapping[str, str]] = None,
 ) -> BenchSpec:
     return BenchSpec(
         name=name,
         module=f"test_{name}.py",
         tags=tuple(tags),
         artifacts=tuple(artifacts if artifacts is not None else (name,)),
-        directions=dict(directions or {}),
     )
 
 
@@ -191,22 +145,15 @@ def select_benches(
     return selected
 
 
-def metric_direction(artifact: str, metric: str) -> Optional[str]:
-    """Resolve the declared direction of one artifact metric.
+def metric_direction(metric: str) -> Optional[str]:
+    """Which way a ``measured`` value improves, from its name.
 
-    Resolution order: the owning bench's per-metric overrides, the
-    global exact-name table, then suffix heuristics.  ``None`` means
-    undeclared — the gate reports but never fails on it.
+    Rates (``*_per_s``) and speedups are higher-is-better; per-operation
+    costs (``us_per_*``) are lower-is-better.  ``None`` means
+    undeclared: the gate reports such a value but never fails on it.
     """
-    spec = artifact_index().get(artifact)
-    if spec is not None and metric in spec.directions:
-        return spec.directions[metric]
-    if metric in METRIC_DIRECTIONS:
-        return METRIC_DIRECTIONS[metric]
-    for suffix in _LOWER_SUFFIXES:
-        if metric.endswith(suffix):
-            return LOWER
-    for suffix in _HIGHER_SUFFIXES:
-        if metric.endswith(suffix):
-            return HIGHER
+    if metric.endswith("_per_s") or metric.startswith("speedup"):
+        return HIGHER
+    if metric.startswith("us_per_") or "_us_per_" in metric:
+        return LOWER
     return None

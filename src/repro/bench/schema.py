@@ -5,18 +5,18 @@ JSON artifact in this schema, next to its human-readable text
 rendering.  The schema splits a result into two halves with different
 comparison contracts:
 
-* the **comparable payload** — ``name``, schema ``version``,
-  ``parameters`` and ``metrics`` — is fully deterministic: re-running
-  the same bench on any host must reproduce it byte-for-byte.  The
-  regression gate (:mod:`repro.bench.compare`) diffs it
-  unconditionally, and the validator rejects wall-clock-looking keys
-  inside it;
+* the **comparable payload** — ``name``, schema ``version`` and the
+  :data:`EXACT_BLOCKS` ``parameters``, ``metrics`` and ``details`` — is
+  fully deterministic: re-running the same bench on any host must
+  reproduce it byte-for-byte.  The regression gate
+  (:mod:`repro.bench.compare`) requires each exact block to equal its
+  baseline, and the validator rejects wall-clock-looking keys in
+  ``parameters`` and ``metrics``;
 * the **measured** block holds wall-clock-derived numbers (throughput,
   speedups, latencies).  They vary across hosts, so the gate only
   enforces them in opt-in hard mode (``REPRO_BENCH_ENFORCE=1``).
 
-``details`` carries free-form context (grids, per-cell tables) and
-``host`` records where the artifact was produced; neither is ever
+``host`` records where the artifact was produced and is never
 compared.  Only current-schema artifacts are read: anything else fails
 :func:`validate_payload` with :class:`BenchFormatError`.
 """
@@ -48,6 +48,10 @@ MetricValue = Union[int, float]
 #: Key fragments that betray wall-clock state in the comparable
 #: payload; the validator rejects them outright.
 FORBIDDEN_KEY_FRAGMENTS = ("timestamp", "datetime", "walltime", "wall_clock")
+
+#: The blocks a re-run must reproduce exactly: ``repro bench compare``
+#: marks an artifact ``drifted`` on any difference in them.
+EXACT_BLOCKS = ("parameters", "metrics", "details")
 
 
 class BenchFormatError(ReproError):
@@ -171,12 +175,12 @@ class BenchResult:
     Attributes:
         name: Artifact name (the ``results/<name>.json`` stem).
         version: Schema version the artifact was written under.
-        parameters: Bench configuration (deterministic, comparable).
-        metrics: Deterministic result scalars — always gated by
-            ``repro bench compare``.
+        parameters: Bench configuration; compared exactly.
+        metrics: Deterministic result scalars; compared exactly.
         measured: Wall-clock-derived scalars — gated only under
             ``REPRO_BENCH_ENFORCE=1``.
-        details: Free-form JSON context; never compared.
+        details: Free-form deterministic JSON context (grids, per-cell
+            tables); compared exactly.
         host: Producing-host provenance; never compared.
     """
 
@@ -213,13 +217,11 @@ class BenchResult:
         return result
 
     def comparable_payload(self) -> Dict[str, Any]:
-        """The deterministic half the regression gate always diffs."""
+        """The deterministic half: identity plus the :data:`EXACT_BLOCKS`."""
+        payload = self.to_payload()
         return {
-            "schema": SCHEMA_NAME,
-            "version": self.version,
-            "name": self.name,
-            "parameters": dict(self.parameters),
-            "metrics": dict(self.metrics),
+            key: payload[key]
+            for key in ("schema", "version", "name", *EXACT_BLOCKS)
         }
 
     def comparable_json(self) -> str:
@@ -236,11 +238,16 @@ class BenchResult:
 
     def to_payload(self) -> Dict[str, Any]:
         """Full JSON-ready artifact payload."""
-        payload = self.comparable_payload()
-        payload["measured"] = dict(self.measured)
-        payload["details"] = self.details
-        payload["host"] = self.host.to_dict()
-        return payload
+        return {
+            "schema": SCHEMA_NAME,
+            "version": self.version,
+            "name": self.name,
+            "parameters": dict(self.parameters),
+            "metrics": dict(self.metrics),
+            "measured": dict(self.measured),
+            "details": self.details,
+            "host": self.host.to_dict(),
+        }
 
     def to_json(self) -> str:
         """Pretty artifact serialisation (what lands on disk)."""

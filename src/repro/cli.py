@@ -1984,7 +1984,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[_format_parent()],
         help=(
             "diff a results directory against committed baselines; "
-            "exits 1 on any gated regression"
+            "exits 1 when parameters, metrics or details differ at all, "
+            "or on an enforced measured regression"
         ),
     )
     bench_compare.add_argument(
@@ -2003,15 +2004,18 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=10.0,
         metavar="PCT",
-        help="relative regression tolerance in percent (default: 10)",
+        help=(
+            "relative regression tolerance in percent, measured only "
+            "(default: 10)"
+        ),
     )
     bench_compare.add_argument(
         "--enforce",
         action="store_true",
         help=(
-            "gate wall-clock 'measured' values too (otherwise only "
-            "deterministic metrics are gated; REPRO_BENCH_ENFORCE=1 "
-            "has the same effect)"
+            "measured only: gate wall-clock 'measured' values against "
+            "their direction (parameters, metrics and details are always "
+            "compared exactly; REPRO_BENCH_ENFORCE=1 has the same effect)"
         ),
     )
     bench_compare.set_defaults(func=_cmd_bench_compare)

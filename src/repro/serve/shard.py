@@ -58,6 +58,7 @@ import multiprocessing.connection
 import multiprocessing.process
 import re
 import shutil
+import sys
 import tempfile
 import threading
 import zlib
@@ -596,13 +597,14 @@ class ShardedServer:
             )
         if self._router_port is None:
             # The router loop died before binding (port in use, bad
-            # host, ...).  Surface the real failure instead of the
-            # pre-fix AssertionError.
+            # host, ...) or bound no socket.  stop() joins the workers
+            # and can be interrupted, so name the cause on stderr first.
             error = self._start_error
+            cause = error if error is not None else "no listening socket"
+            message = f"router failed to start: {cause}"
+            print(message, file=sys.stderr, flush=True)
             self.stop()
-            raise ReproError(
-                f"router failed to start: {error}"
-            ) from error
+            raise ReproError(message) from error
         return self._router_port
 
     def stop(self) -> None:

@@ -92,16 +92,16 @@ class TestBenchCompare:
             capsys, "bench", "compare", str(cur), "--baseline", str(base)
         )
         assert code == 1
-        assert "REGRESSED" in out
+        assert "DRIFT metrics.accuracy 0.9 -> 0.7" in out
 
     def test_tolerance_flag_is_percent(self, capsys, tmp_path):
         base = tmp_path / "base"
         cur = tmp_path / "cur"
-        self.write(base, "t", metrics={"accuracy": 0.90})
-        self.write(cur, "t", metrics={"accuracy": 0.70})
+        self.write(base, "t", measured={"samples_per_s": 100.0})
+        self.write(cur, "t", measured={"samples_per_s": 75.0})
         code, _, _ = run_cli(
             capsys, "bench", "compare", str(cur),
-            "--baseline", str(base), "--tolerance", "30",
+            "--baseline", str(base), "--enforce", "--tolerance", "30",
         )
         assert code == 0
 

@@ -1,6 +1,9 @@
 """Tests for the regression gate (`repro bench compare` internals)."""
 
 import json
+import math
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +16,16 @@ from repro.bench.schema import BenchFormatError, BenchResult
 from repro.errors import ConfigurationError
 
 
-def payload(name, metrics=None, measured=None, parameters=None):
+BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+
+
+def payload(name, metrics=None, measured=None, parameters=None, details=None):
     return BenchResult.create(
         name,
         metrics=metrics,
         measured=measured,
         parameters=parameters,
+        details=details,
     ).to_payload()
 
 
@@ -68,22 +75,22 @@ class TestRegressionRule:
         assert report.exit_code() == 1
 
     def test_lower_is_better_honored(self):
-        # performance_degradation: an increase is the regression.
-        base = {"d": payload("d", metrics={"performance_degradation": 0.04})}
-        worse = {"d": payload("d", metrics={"performance_degradation": 0.08})}
-        better = {"d": payload("d", metrics={"performance_degradation": 0.01})}
-        assert compare_results(worse, base).exit_code() == 1
-        assert compare_results(better, base).exit_code() == 0
+        # us_per_sample: an increase is the regression.
+        base = {"d": payload("d", measured={"us_per_sample": 4.0})}
+        worse = {"d": payload("d", measured={"us_per_sample": 8.0})}
+        better = {"d": payload("d", measured={"us_per_sample": 1.0})}
+        assert compare_results(worse, base, enforce=True).exit_code() == 1
+        assert compare_results(better, base, enforce=True).exit_code() == 0
 
     def test_improvement_never_regresses(self):
-        base = {"a": payload("a", metrics={"accuracy": 0.80})}
-        cur = {"a": payload("a", metrics={"accuracy": 0.99})}
-        assert compare_results(cur, base).exit_code() == 0
+        base = {"a": payload("a", measured={"samples_per_s": 80.0})}
+        cur = {"a": payload("a", measured={"samples_per_s": 99.0})}
+        assert compare_results(cur, base, enforce=True).exit_code() == 0
 
     def test_undeclared_direction_is_informational(self):
-        base = {"x": payload("x", metrics={"n_widgets": 10})}
-        cur = {"x": payload("x", metrics={"n_widgets": 2})}
-        report = compare_results(cur, base)
+        base = {"x": payload("x", measured={"n_widgets": 10})}
+        cur = {"x": payload("x", measured={"n_widgets": 2})}
+        report = compare_results(cur, base, enforce=True)
         assert report.exit_code() == 0
         (delta,) = report.comparisons[0].deltas
         assert delta.direction is None and not delta.gated
@@ -106,11 +113,13 @@ class TestRegressionRule:
         assert report.baseline_only == ("b",)
 
     def test_zero_baseline_movement_is_infinite_change(self):
-        base = {"a": payload("a", metrics={"accuracy": 0.0})}
-        cur = {"a": payload("a", metrics={"accuracy": 0.5})}
-        report = compare_results(cur, base)
+        base = {"a": payload("a", measured={"samples_per_s": 0.0})}
+        cur = {"a": payload("a", measured={"samples_per_s": 0.5})}
+        report = compare_results(cur, base, enforce=True)
         # Moved in the good direction: not a regression.
         assert report.exit_code() == 0
+        (delta,) = report.comparisons[0].deltas
+        assert delta.change == math.inf
 
     def test_tolerance_must_be_a_fraction(self):
         base = {"a": payload("a", metrics={"accuracy": 0.9})}
@@ -129,6 +138,67 @@ class TestRegressionRule:
         as_json = report.to_payload()
         assert as_json["ok"] is False
         assert as_json["artifacts"][0]["status"] == "regressed"
+
+
+class TestExactRule:
+    """parameters, metrics and details must equal the baseline exactly."""
+
+    @pytest.mark.parametrize("toward", [math.inf, -math.inf])
+    def test_one_ulp_move_of_a_metric_drifts(self, toward):
+        base = {"a": payload("a", metrics={"accuracy": 0.9})}
+        moved = math.nextafter(0.9, toward)
+        cur = {"a": payload("a", metrics={"accuracy": moved})}
+        report = compare_results(cur, base)
+        assert report.exit_code() == 1
+        (comparison,) = report.comparisons
+        assert comparison.status == "drifted"
+        (drift,) = comparison.drifts
+        assert (drift.key, drift.baseline, drift.current) == (
+            "metrics.accuracy", "0.9", repr(moved)
+        )
+
+    def test_changed_parameter_drifts(self):
+        base = {"a": payload("a", parameters={"n_benchmarks": 33})}
+        cur = {"a": payload("a", parameters={"n_benchmarks": 16})}
+        report = compare_results(cur, base)
+        assert report.exit_code() == 1
+        (drift,) = report.comparisons[0].drifts
+        assert (drift.key, drift.baseline, drift.current) == (
+            "parameters.n_benchmarks", "33", "16"
+        )
+
+    def test_changed_nested_detail_drifts(self):
+        details = {"per_benchmark": {"applu_in": {"GPHT": 0.91}}}
+        base = {"a": payload("a", details=details)}
+        cur = {
+            "a": payload(
+                "a", details={"per_benchmark": {"applu_in": {"GPHT": 0.92}}}
+            )
+        }
+        report = compare_results(cur, base)
+        assert report.exit_code() == 1
+        (drift,) = report.comparisons[0].drifts
+        assert drift.key == "details.per_benchmark.applu_in.GPHT"
+        assert "DRIFT details.per_benchmark.applu_in.GPHT 0.91 -> 0.92" in (
+            report.render_text()
+        )
+
+    def test_equal_details_pass(self):
+        details = {"grid": [{"workers": 1, "digest": "ab"}], "note": None}
+        base = {"a": payload("a", details=details)}
+        cur = {"a": payload("a", details=json.loads(json.dumps(details)))}
+        report = compare_results(cur, base)
+        assert report.exit_code() == 0
+        assert report.comparisons[0].drifts == ()
+
+    def test_added_and_removed_keys_drift(self):
+        base = {"a": payload("a", metrics={"old": 1})}
+        cur = {"a": payload("a", metrics={"new": 1})}
+        drifts = compare_results(cur, base).comparisons[0].drifts
+        assert [(d.key, d.baseline, d.current) for d in drifts] == [
+            ("metrics.new", "absent", "1"),
+            ("metrics.old", "1", "absent"),
+        ]
 
 
 class TestLoadResultsDir:
@@ -157,4 +227,14 @@ class TestLoadResultsDir:
     def test_malformed_artifact_names_the_file(self, tmp_path):
         (tmp_path / "bad.json").write_text("{not json")
         with pytest.raises(BenchFormatError, match="bad.json"):
+            load_results_dir(tmp_path)
+
+    def test_name_must_match_the_file_stem(self, tmp_path):
+        # Two files claiming one name used to collapse into whichever
+        # sorted last, so a drifted copy could hide behind a clean one.
+        shutil.copy(BASELINES / "fig03_quadrants.json", tmp_path)
+        stale = json.loads((BASELINES / "fig03_quadrants.json").read_text())
+        stale["metrics"]["q1_count"] -= 1
+        (tmp_path / "aa_stale_copy.json").write_text(json.dumps(stale))
+        with pytest.raises(BenchFormatError, match="aa_stale_copy.json"):
             load_results_dir(tmp_path)

@@ -36,9 +36,9 @@ PASSAGES = (
 )
 
 
-#: (doc, pattern matching one table row, artifact, the metric each of
-#: the pattern's groups quotes): a quote ending in ``%`` is the metric
-#: as a percentage.
+#: (doc, pattern matching one table row, artifact, the ``metrics`` or
+#: ``measured`` value each of the pattern's groups quotes): a quote
+#: ending in ``%`` is the value as a percentage.
 METRIC_ROWS = (
     ("EXPERIMENTS.md", r"\| (\d+) of 33 benchmarks in Q1 \|$",
      "fig03_quadrants", ("q1_count",)),
@@ -46,9 +46,27 @@ METRIC_ROWS = (
      "fig06_exploration_space", ("n_grid_configs",)),
     ("EXPERIMENTS.md", r"; ([\d.]+%) at \(UPC 0\.1, Mem/Uop 0\.0475\) \|$",
      "fig07_dvfs_invariance", ("heavy_config_upc_change",)),
+    ("EXPERIMENTS.md", r"\| decision path ([\d.]+) µs on the 1-CPU baseline",
+     "fig08_handler_overhead", ("mean_us_per_decision",)),
+    ("EXPERIMENTS.md", r"\| ([\d.]+%) average power reduction \|$",
+     "fig10_applu_full_system", ("power_savings",)),
+    ("EXPERIMENTS.md", r"\| ([\d.]+%) \(≪ power savings\) \|$",
+     "fig10_applu_full_system", ("performance_degradation",)),
+    ("EXPERIMENTS.md", r"\| online GPHT accuracy \| [^|]+ \| (\d+%) \|$",
+     "fig10_applu_full_system", ("prediction_accuracy",)),
+    ("EXPERIMENTS.md", r"\| >60% \| ([\d.]+%) / ([\d.]+%) \|$",
+     "fig11_dvfs_results", ("swim_edp_improvement", "mcf_edp_improvement")),
+    ("EXPERIMENTS.md", r"\| ([\d.]+%) \(largest Q3, as in paper\) \|$",
+     "fig11_dvfs_results", ("equake_edp_improvement",)),
     ("EXPERIMENTS.md", r"\| ([\d.]+%) EDP, ([\d.]+%) degradation \|$",
      "fig11_dvfs_results",
      ("mean_edp_improvement", "mean_performance_degradation")),
+    ("EXPERIMENTS.md",
+     r"\| GPHT ([\d.]+%) vs reactive ([\d.]+%); degradation comparable "
+     r"\(([\d.]+%) vs ([\d.]+%)\) \|$",
+     "fig12_gpht_vs_reactive",
+     ("gpht_mean_edp_improvement", "reactive_mean_edp_improvement",
+      "gpht_mean_degradation", "reactive_mean_degradation")),
 )
 
 
@@ -109,8 +127,9 @@ def test_doc_rows_quote_the_committed_metrics():
         assert len(rows) == 1, f"{doc}: {pattern!r} matches {len(rows)} rows"
         quotes = rows[0] if isinstance(rows[0], tuple) else (rows[0],)
         result = json.loads((RESULTS / f"{artifact}.json").read_text())
+        values = {**result["metrics"], **result["measured"]}
         for quote, metric in zip(quotes, metrics):
-            expected = _printed(result["metrics"][metric], quote)
+            expected = _printed(values[metric], quote)
             if quote != expected:
                 mismatches.append(
                     f"{doc}: quotes {quote}, {artifact} {metric} is {expected}"

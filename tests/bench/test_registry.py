@@ -1,5 +1,6 @@
 """Tests for the benchmark registry and direction resolution."""
 
+import json
 import pathlib
 
 import pytest
@@ -10,13 +11,13 @@ from repro.bench.registry import (
     LOWER,
     all_tags,
     artifact_index,
-    bench_by_name,
     metric_direction,
     select_benches,
 )
 from repro.errors import ConfigurationError
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
+RESULTS = BENCH_DIR / "results"
 
 
 class TestRegistryIntegrity:
@@ -43,10 +44,10 @@ class TestRegistryIntegrity:
         assert "batch_throughput" in names
 
     def test_committed_baselines_cover_every_artifact(self):
-        committed = {
-            p.stem for p in (BENCH_DIR / "results").glob("*.json")
-        }
-        assert set(artifact_index()) <= committed
+        # Equal, not just covering: a committed artifact no bench writes
+        # would be compared against nothing.
+        committed = {p.stem for p in RESULTS.glob("*.json")}
+        assert set(artifact_index()) == committed
 
 
 class TestSelection:
@@ -83,26 +84,25 @@ class TestDirections:
         "metric,expected",
         [
             ("speedup", HIGHER),
+            ("speedup_vs_wire_baseline", HIGHER),
             ("batch_samples_per_s", HIGHER),
-            ("GPHT_8_128_mean_accuracy", HIGHER),
-            ("mean_edp_improvement", HIGHER),
-            ("power_savings", HIGHER),
-            ("mean_gap_captured", HIGHER),
-            ("performance_degradation", LOWER),
+            ("w2_b16_samples_per_s", HIGHER),
+            ("requests_per_s", HIGHER),
             ("us_per_sample", LOWER),
-            ("handler_overhead_fraction", LOWER),
-            ("dtm_peak_temperature_c", LOWER),
-            ("dtm_slowdown", LOWER),
-            ("swim_in_upc_divergence", LOWER),
+            ("mean_us_per_decision", LOWER),
             ("n_benchmarks", None),
             ("boundary_violations", None),
         ],
     )
     def test_direction_resolution(self, metric, expected):
-        assert metric_direction("any_artifact", metric) == expected
+        assert metric_direction(metric) == expected
 
-    def test_per_bench_override_wins(self):
-        spec = bench_by_name()["batch_throughput"]
-        # No overrides declared today; the mechanism is exercised by
-        # compare tests through metric_direction's fallback chain.
-        assert spec.directions == {}
+    def test_every_committed_measured_value_has_a_direction(self):
+        # Otherwise --enforce would report it and never fail on it.
+        undirected = [
+            f"{path.stem}.{key}"
+            for path in sorted(RESULTS.glob("*.json"))
+            for key in json.loads(path.read_text())["measured"]
+            if metric_direction(key) is None
+        ]
+        assert undirected == []

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.bench.schema import (
+    EXACT_BLOCKS,
     SCHEMA_NAME,
     SCHEMA_VERSION,
     BenchFormatError,
@@ -45,11 +46,11 @@ class TestRoundTrip:
         assert host.cpu_count >= 1
         assert host.code_version
 
-    def test_comparable_payload_excludes_measured_host_details(self):
+    def test_comparable_payload_is_identity_plus_exact_blocks(self):
         comparable = sample_result().comparable_payload()
-        assert set(comparable) == {
-            "schema", "version", "name", "parameters", "metrics"
-        }
+        assert set(comparable) == {"schema", "version", "name", *EXACT_BLOCKS}
+        assert EXACT_BLOCKS == ("parameters", "metrics", "details")
+        assert comparable["details"] == {"grid": [[1, 2], [3, 4]]}
 
     def test_comparable_json_is_canonical(self):
         result = sample_result()

@@ -440,6 +440,41 @@ class TestRouterLifecycle:
         finally:
             blocker.close()
 
+    def test_bind_conflict_is_named_before_stop(self, capsys, monkeypatch):
+        # stop() joins the workers, and a caller interrupted there never
+        # sees the ReproError: the cause must already be on stderr.
+        blocker = socket.socket()
+        server = None
+        try:
+            blocker.bind(("127.0.0.1", 0))
+            blocker.listen(1)
+            server = ShardedServer(workers=1, port=blocker.getsockname()[1])
+
+            def interrupted_stop():
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(server, "stop", interrupted_stop)
+            with pytest.raises(KeyboardInterrupt):
+                server.start()
+            err = capsys.readouterr().err
+            assert "router failed to start" in err
+            assert "address already in use" in err
+        finally:
+            if server is not None:
+                ShardedServer.stop(server)
+            blocker.close()
+
+    def test_router_without_a_socket_names_that_case(self, monkeypatch):
+        monkeypatch.setattr(
+            ShardedServer, "_thread_main", lambda self: self._started.set()
+        )
+        server = ShardedServer(workers=1)
+        try:
+            with pytest.raises(ReproError, match="no listening socket"):
+                server.start()
+        finally:
+            server.stop()
+
     def test_stop_is_idempotent_and_server_restartable(self):
         # Regression: stop() used to leave _thread/_procs/_worker_ports
         # populated, so a second start() hit "already started" and a
