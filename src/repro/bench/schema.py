@@ -10,8 +10,8 @@ comparison contracts:
   fully deterministic: re-running the same bench on any host must
   reproduce it byte-for-byte.  The regression gate
   (:mod:`repro.bench.compare`) requires each exact block to equal its
-  baseline, and the validator rejects wall-clock-looking keys in
-  ``parameters`` and ``metrics``;
+  baseline, and the validator rejects wall-clock-looking keys anywhere
+  in them (``details`` at every depth);
 * the **measured** block holds wall-clock-derived numbers (throughput,
   speedups, latencies).  They vary across hosts, so the gate only
   enforces them in opt-in hard mode (``REPRO_BENCH_ENFORCE=1``).
@@ -47,7 +47,17 @@ MetricValue = Union[int, float]
 
 #: Key fragments that betray wall-clock state in the comparable
 #: payload; the validator rejects them outright.
-FORBIDDEN_KEY_FRAGMENTS = ("timestamp", "datetime", "walltime", "wall_clock")
+FORBIDDEN_KEY_FRAGMENTS = (
+    "timestamp",
+    "datetime",
+    "walltime",
+    "wall_clock",
+    "elapsed",
+)
+
+#: Key suffix of a rate (``samples_per_s``).  A suffix, not a fragment:
+#: ``samples_per_session`` is a count.
+FORBIDDEN_KEY_SUFFIX = "_per_s"
 
 #: The blocks a re-run must reproduce exactly: ``repro bench compare``
 #: marks an artifact ``drifted`` on any difference in them.
@@ -137,7 +147,24 @@ def _check_comparable_key(context: str, key: object) -> str:
             f"({fragment!r}); timestamps are banned from the comparable "
             "payload",
         )
+    _require(
+        not lowered.endswith(FORBIDDEN_KEY_SUFFIX),
+        f"{context} key {key!r} looks like a rate "
+        f"({FORBIDDEN_KEY_SUFFIX!r}); timings belong in 'measured'",
+    )
     return str(key)
+
+
+def _check_details_keys(context: str, value: object) -> None:
+    """Apply the comparable-key rule to every key nested in ``value``."""
+    if isinstance(value, Mapping):
+        for key, item in value.items():
+            _check_details_keys(
+                f"{context}.{_check_comparable_key(context, key)}", item
+            )
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            _check_details_keys(f"{context}[{index}]", item)
 
 
 def _check_metric_value(context: str, key: str, value: object) -> float:
@@ -318,5 +345,6 @@ def validate_payload(payload: Mapping[str, Any]) -> None:
             f"measured keys must be non-empty strings, got {key!r}",
         )
         _check_metric_value("measured", str(key), value)
+    _check_details_keys("details", payload.get("details"))
     _require("host" in payload, "artifact is missing host provenance")
     HostProvenance.from_dict(payload["host"])

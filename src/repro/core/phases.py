@@ -24,6 +24,7 @@ swapped in without touching any other component.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -34,6 +35,11 @@ from repro.errors import ConfigurationError
 #: Upper bin edges of the paper's Table 1.  Phase ``i`` (1-based) covers
 #: ``[edge[i-2], edge[i-1])`` with an implicit 0 lower bound and +inf top.
 PAPER_PHASE_EDGES: Tuple[float, ...] = (0.005, 0.010, 0.015, 0.020, 0.030)
+
+#: Series shorter than this are classified by bisecting the edges in
+#: Python; from this length on, one NumPy ``searchsorted`` call pays
+#: back its fixed cost (a single value bisects in about a tenth of it).
+NUMPY_MIN_VALUES = 32
 
 
 @dataclass(frozen=True)
@@ -133,26 +139,37 @@ class PhaseTable:
     def classify_batch(self, values: Sequence[float]) -> List[int]:
         """Vectorized :meth:`classify` over a whole series.
 
-        Bit-identical to ``[self.classify(v) for v in values]`` — values
-        equal to an edge land in the upper bin in both paths, because
-        ``searchsorted(side="right")`` counts edges ``<= v`` exactly as
-        the scalar scan's strict ``v < edge`` test does.
+        Bit-identical to ``[self.classify(v) for v in values]``: a value
+        equal to an edge lands in the upper bin and NaN in the top one,
+        because ``bisect_right`` and ``searchsorted(side="right")`` count
+        the edges ``<= v`` exactly as the scalar scan's strict
+        ``v < edge`` test does.  Series shorter than
+        :data:`NUMPY_MIN_VALUES` bisect in Python, longer ones go
+        through NumPy.
 
         Raises:
             ConfigurationError: If any value is negative; the first
-                offending value (in series order) is reported, matching
-                the scalar path's failure point.
+                offending value (in series order) is reported with the
+                scalar path's message.
         """
+        if len(values) < NUMPY_MIN_VALUES:
+            edges = self._edges
+            phases: List[int] = []
+            for value in values:
+                if value < 0:
+                    raise ConfigurationError(
+                        f"Mem/Uop must be >= 0, got {value}"
+                    )
+                phases.append(bisect_right(edges, value) + 1)
+            return phases
         array = np.asarray(values, dtype=np.float64)
         if array.ndim != 1:
             raise ConfigurationError(
                 f"expected a 1-D series, got shape {array.shape}"
             )
-        if array.size == 0:
-            return []
         negative = array < 0
         if negative.any():
-            first_bad = array[int(np.argmax(negative))]
+            first_bad = values[int(np.argmax(negative))]
             raise ConfigurationError(
                 f"Mem/Uop must be >= 0, got {first_bad}"
             )

@@ -30,8 +30,9 @@ entries deployed, up to 1024 in evaluation).
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from enum import Enum
+from typing import Final, List, Optional, Sequence, Tuple
 
 from repro.core.predictors._checkpoint import (
     as_int,
@@ -51,6 +52,16 @@ from repro.obs.events import PredictionMade
 #: GPHR fill value before any real phase has been observed.  Real phases
 #: are 1-based, so 0 never collides with an observed phase.
 EMPTY_PHASE = 0  # repro-lint: disable=phase-id-range
+
+
+class _Absent(Enum):
+    """Marks a tag missing from the PHT in one lookup: a stored
+    prediction can be ``None`` (installed, outcome not yet seen)."""
+
+    TAG = 0
+
+
+_ABSENT: Final = _Absent.TAG
 
 
 class GPHTPredictor(PhasePredictor):
@@ -90,9 +101,9 @@ class GPHTPredictor(PhasePredictor):
         self._replacement = replacement
         self._depth = gphr_depth
         self._capacity = pht_entries
-        self._gphr: Deque[int] = deque(
-            [EMPTY_PHASE] * gphr_depth, maxlen=gphr_depth
-        )
+        # Most recent phase first.  A tuple, not a deque: every shifted
+        # register state is the next PHT lookup tag as it stands.
+        self._gphr: Tuple[int, ...] = (EMPTY_PHASE,) * gphr_depth
         # Ordered oldest-access-first: true LRU via move_to_end/popitem.
         # Values are the stored "next phase" prediction (None until the
         # first outcome for a freshly installed tag is known).
@@ -131,7 +142,7 @@ class GPHTPredictor(PhasePredictor):
     @property
     def gphr(self) -> Tuple[int, ...]:
         """Current GPHR contents, most recent phase first."""
-        return tuple(self._gphr)
+        return self._gphr
 
     @property
     def hits(self) -> int:
@@ -155,7 +166,7 @@ class GPHTPredictor(PhasePredictor):
             if self._replacement == "lru":
                 self._pht.move_to_end(self._pending_tag)
         self._pending_tag = None
-        self._gphr.appendleft(observation.phase)
+        self._gphr = (observation.phase,) + self._gphr[: self._depth - 1]
 
     def predict(self) -> int:
         """Predict the next phase from the current GPHR pattern.
@@ -167,10 +178,11 @@ class GPHTPredictor(PhasePredictor):
         recur once the register fills — installing it would only seed the
         PHT with dead entries that sit there until LRU-evicted.
         """
-        last_phase = self._gphr[0]
+        tag = self._gphr
+        last_phase = tag[0]
         if last_phase == EMPTY_PHASE:
             return self.DEFAULT_PHASE
-        if EMPTY_PHASE in self._gphr:
+        if EMPTY_PHASE in tag:
             # Warm-up: the pattern is still padded — predict last-value,
             # count the miss, install nothing.
             self._misses += 1
@@ -179,7 +191,6 @@ class GPHTPredictor(PhasePredictor):
                 evicted=False, warmup=True,
             )
             return last_phase
-        tag = tuple(self._gphr)
         self._pending_tag = tag
         if tag in self._pht:
             self._hits += 1
@@ -220,7 +231,7 @@ class GPHTPredictor(PhasePredictor):
             if self._replacement == "lru":
                 self._pht.move_to_end(pending)
         self._pending_tag = None
-        self._gphr.extendleft(phases)
+        self._gphr = (tuple(reversed(phases)) + self._gphr)[: self._depth]
 
     def predict_batch(
         self, phases: Sequence[int], mem_values: Sequence[float]
@@ -228,25 +239,24 @@ class GPHTPredictor(PhasePredictor):
         """Batch kernel for the fused observe/predict cycle.
 
         Replays the exact scalar state machine over local variables —
-        the GPHR as an immutable tuple rebuilt by slicing (each shifted
-        register state *is* the next lookup tag, so no per-sample
-        ``tuple(deque)`` copies), the PHT trained/probed in place with
-        the same LRU moves, installs and evictions.  Falls back to the
-        scalar loop while tracing so ``PredictionMade`` events keep
-        their per-interval stream.
+        the GPHR tuple rebuilt by slicing, the PHT trained/probed in
+        place with the same LRU moves, installs and evictions.  Falls
+        back to the scalar loop while tracing so ``PredictionMade``
+        events keep their per-interval stream.
         """
         if self._tracer.enabled:
             return PhasePredictor.predict_batch(self, phases, mem_values)
         pht = self._pht
-        depth = self._depth
+        keep = self._depth - 1
         capacity = self._capacity
         lru = self._replacement == "lru"
+        lookup = pht.get
         move_to_end = pht.move_to_end
         popitem = pht.popitem
         pending = self._pending_tag
         hits = self._hits
         misses = self._misses
-        tag_now = tuple(self._gphr)
+        tag_now = self._gphr
         default_phase = self.DEFAULT_PHASE
         predictions: List[int] = []
         append = predictions.append
@@ -257,30 +267,29 @@ class GPHTPredictor(PhasePredictor):
                 if lru:
                     move_to_end(pending)
             pending = None
-            tag_now = (phase,) + tag_now[: depth - 1]
-            # -- predict from the shifted register.
-            last_phase = tag_now[0]
-            if last_phase == EMPTY_PHASE:
+            tag_now = (phase,) + tag_now[:keep]
+            # -- predict from the shifted register (GPHR[0] is ``phase``).
+            if phase == EMPTY_PHASE:
                 append(default_phase)
                 continue
             if EMPTY_PHASE in tag_now:
                 misses += 1
-                append(last_phase)
+                append(phase)
                 continue
             pending = tag_now
-            if tag_now in pht:
+            stored = lookup(tag_now, _ABSENT)
+            if stored is not _ABSENT:
                 hits += 1
-                stored = pht[tag_now]
                 if lru:
                     move_to_end(tag_now)
-                append(stored if stored is not None else last_phase)
+                append(stored if stored is not None else phase)
                 continue
             misses += 1
             if len(pht) >= capacity:
                 popitem(last=False)
             pht[tag_now] = None
-            append(last_phase)
-        self._gphr = deque(tag_now, maxlen=depth)
+            append(phase)
+        self._gphr = tag_now
         self._pending_tag = pending
         self._hits = hits
         self._misses = misses
@@ -327,7 +336,7 @@ class GPHTPredictor(PhasePredictor):
         return OrderedDict(self._pht)
 
     def reset(self) -> None:
-        self._gphr = deque([EMPTY_PHASE] * self._depth, maxlen=self._depth)
+        self._gphr = (EMPTY_PHASE,) * self._depth
         self._pht.clear()
         self._pending_tag = None
         self._hits = 0
@@ -411,7 +420,7 @@ class GPHTPredictor(PhasePredictor):
                     f"malformed pending_tag: {raw_pending!r}"
                 )
             pending = tuple(as_int(v, "pending tag") for v in raw_pending)
-        self._gphr = deque(gphr, maxlen=self._depth)
+        self._gphr = tuple(gphr)
         self._pht = pht
         self._pending_tag = pending
         self._hits = as_int(state.get("hits", 0), "hits")

@@ -82,6 +82,8 @@ from repro.serve.replay import (
 )
 from repro.serve.session import (
     MAX_GPHR_DEPTH,
+    MAX_HISTORY_LENGTH,
+    MAX_MARKOV_ORDER,
     SESSION_GOVERNORS,
     BatchOutcomes,
     PhaseSession,
@@ -112,6 +114,8 @@ __all__ = [
     "LoadgenResult",
     "MAX_BATCH_SAMPLES",
     "MAX_GPHR_DEPTH",
+    "MAX_HISTORY_LENGTH",
+    "MAX_MARKOV_ORDER",
     "MIGRATED_CLOSE_REASON",
     "OverloadedError",
     "PROTOCOL_VERSION",

@@ -25,9 +25,9 @@ phase, so its history stays warm for recovery.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterator,
@@ -39,17 +39,12 @@ from typing import (
     overload,
 )
 
-from repro.core.governor import (
-    IntervalCounters,
-    PhasePredictionGovernor,
-    ReactiveGovernor,
-)
+from repro.core.governor import PhasePredictionGovernor, ReactiveGovernor
 from repro.core.phases import PhaseTable
 from repro.core.predictors import (
     FixedWindowPredictor,
     GPHTPredictor,
     LastValuePredictor,
-    PhaseObservation,
     PhasePredictor,
 )
 from repro.errors import ConfigurationError
@@ -78,8 +73,27 @@ SESSION_GOVERNORS = (
 #: deepest history the repo studies is 16 (the GPHR-depth ablation).
 MAX_GPHR_DEPTH = 64
 
+#: Largest Markov context a session accepts.  The Markov tables grow
+#: with traffic, one row per context seen, and a ``snapshot`` must fit
+#: the router's 512 KiB line limit: on the wire an order-4 snapshot
+#: levels off near 84 KiB, while order 5 reached 519 KiB after 600,000
+#: uniform random samples.  The repo studies order 3.
+MAX_MARKOV_ORDER = 4
+
+#: Largest learned-tree feature window a session accepts.  Every
+#: ``sample`` builds a ``history_length + 2`` feature row, so the cost
+#: of each sample grows with it; the limit mirrors :data:`MAX_GPHR_DEPTH`.
+#: The repo studies history 4.
+MAX_HISTORY_LENGTH = 64
+
 #: Checkpoint / wire payload: JSON-able scalars and containers only.
 Payload = Dict[str, object]
+
+#: One :meth:`PhaseSession.feed_batch` answer as parallel columns: actual
+#: phases, predicted phases, frequencies (MHz), degraded flags, hits.
+Columns = Tuple[
+    List[int], List[int], List[int], List[bool], List[Optional[bool]]
+]
 
 
 @dataclass(frozen=True)
@@ -98,8 +112,10 @@ class SessionConfig:
             :data:`MAX_GPHR_DEPTH`.
         pht_entries: GPHT pattern-table capacity (``gpht`` only).
         window_size: Sliding-window length (``fixed_window`` only).
-        history_length: Feature-window length (``learned_tree`` only).
-        markov_order: Context length (``markov`` only).
+        history_length: Feature-window length (``learned_tree`` only),
+            at most :data:`MAX_HISTORY_LENGTH`.
+        markov_order: Context length (``markov`` only), at most
+            :data:`MAX_MARKOV_ORDER`.
         markov_alpha: Smoothing strength (``markov`` only).
         latency_budget_s: Per-sample latency budget; ``None`` disables
             degradation (and makes the session fully deterministic).
@@ -124,11 +140,15 @@ class SessionConfig:
                 f"unknown session governor {self.governor!r}; "
                 f"known: {SESSION_GOVERNORS}"
             )
-        if self.gphr_depth > MAX_GPHR_DEPTH:
-            raise ConfigurationError(
-                f"gphr_depth must be <= {MAX_GPHR_DEPTH}, got "
-                f"{self.gphr_depth}"
-            )
+        for field_name, value, limit in (
+            ("gphr_depth", self.gphr_depth, MAX_GPHR_DEPTH),
+            ("history_length", self.history_length, MAX_HISTORY_LENGTH),
+            ("markov_order", self.markov_order, MAX_MARKOV_ORDER),
+        ):
+            if value > limit:
+                raise ConfigurationError(
+                    f"{field_name} must be <= {limit}, got {value}"
+                )
         if self.latency_budget_s is not None and self.latency_budget_s <= 0:
             raise ConfigurationError(
                 f"latency budget must be > 0, got {self.latency_budget_s}"
@@ -300,21 +320,6 @@ class BatchOutcomes(Sequence[SampleOutcome]):
         self._frequencies = frequencies_mhz
         self._degraded = degraded
         self._hits = hits
-
-    @classmethod
-    def from_outcomes(
-        cls, start_interval: int, outcomes: Sequence[SampleOutcome]
-    ) -> "BatchOutcomes":
-        """Column-pack already-materialized outcomes (the budgeted
-        per-sample loop of :meth:`PhaseSession.feed_batch`)."""
-        return cls(
-            start_interval,
-            [outcome.actual_phase for outcome in outcomes],
-            [outcome.predicted_phase for outcome in outcomes],
-            [outcome.frequency_mhz for outcome in outcomes],
-            [outcome.degraded for outcome in outcomes],
-            [outcome.hit for outcome in outcomes],
-        )
 
     def __len__(self) -> int:
         return len(self._actual)
@@ -537,20 +542,40 @@ class PhaseSession:
         Samples must arrive in order: ``interval_index`` is validated
         against the session's own monotonic count so a replayed or
         reordered stream fails loudly instead of silently corrupting
-        predictor history.
+        predictor history.  The sample runs the decision-cycle kernel
+        as a one-sample column, between two clock reads when the session
+        has a clock.  ``upc`` is accepted for the wire protocol; the
+        ``Mem/Uop`` phase metric never reads it.
         """
-        self._validate_sample(interval_index, mem_per_uop, self._samples)
+        if interval_index != self._samples:
+            raise ConfigurationError(
+                f"out-of-order sample: expected interval {self._samples}, "
+                f"got {interval_index}"
+            )
+        if mem_per_uop < 0:
+            raise ConfigurationError(
+                f"Mem/Uop must be >= 0, got {mem_per_uop}"
+            )
         started = self._clock() if self._clock is not None else None
-        outcome = self._feed_one(interval_index, mem_per_uop, upc)
+        actual, predicted, frequencies, degraded, hits = self._feed_kernel(
+            (mem_per_uop,)
+        )
         if started is not None and self._clock is not None:
             elapsed = self._clock() - started
             self._observe_latency(elapsed)
             self._update_degradation(elapsed)
         if self._metrics is not None:
             self._metrics.counter("serve.samples").inc()
-            if outcome.degraded:
+            if degraded[0]:
                 self._metrics.counter("serve.degraded_samples").inc()
-        return outcome
+        return SampleOutcome(
+            interval=interval_index,
+            actual_phase=actual[0],
+            predicted_phase=predicted[0],
+            frequency_mhz=frequencies[0],
+            degraded=degraded[0],
+            hit=hits[0],
+        )
 
     def feed_batch(
         self,
@@ -571,25 +596,20 @@ class PhaseSession:
         outcomes are identical to N single :meth:`feed` calls — including
         degraded-mode entry/exit mid-batch.  ``tests/properties/
         test_serve_batching.py`` holds every governor to this for every
-        partition of a stream into batches.
+        partition of a stream into batches, and against a reference
+        model built from the scalar pieces.
 
-        **Two bodies:** a latency budget is active when the session has
-        both a clock and a budget.  Without one no per-sample clock
-        reads are needed, so every batch, in normal or degraded mode,
-        runs the columnar kernel (:meth:`PhaseTable.classify_batch` plus
-        the predictor's :meth:`~repro.core.predictors.base.
-        PhasePredictor.predict_batch`, or its ``observe_batch`` while
-        degraded) instead of N scalar decision cycles.  With one, the
-        batch loops the scalar cycle, reading the clock twice per
-        sample.
+        **One kernel:** without an active latency budget (a clock and a
+        budget) the mode cannot change mid-batch, so the whole batch is
+        one call of the decision-cycle kernel.  With one, the kernel runs
+        once per sample between two clock reads, because the degradation
+        state machine consumes one latency per sample.
 
         **Per-batch accounting:** metrics are updated once per batch
         (``serve.samples += N``, one ``serve.batch_size`` observation,
         one ``serve.sample_latency_s`` observation covering the whole
         batch) instead of once per sample — this is the point of the
-        batched wire protocol.  The latency-budget degradation state
-        machine still runs per sample when a budget is configured,
-        because mid-batch transitions are part of the outcome contract.
+        batched wire protocol.
 
         **Atomic validation:** the whole batch is validated before the
         first sample is processed, so a malformed batch leaves the
@@ -608,31 +628,29 @@ class PhaseSession:
                 )
         clock = self._clock
         if clock is not None and self._config.latency_budget_s is not None:
-            # The degradation state machine consumes one latency per
-            # sample; anything coarser would diverge from N feed() calls.
-            scalar_outcomes: List[SampleOutcome] = []
+            columns: Tuple[List[Any], ...] = ([], [], [], [], [])
             batch_elapsed = 0.0
-            for offset, (mem_per_uop, upc) in enumerate(samples):
+            for mem_per_uop, _ in samples:
                 sample_started = clock()
-                outcome = self._feed_one(
-                    start_interval + offset, mem_per_uop, upc
+                sample_columns: Tuple[List[Any], ...] = self._feed_kernel(
+                    (mem_per_uop,)
                 )
                 elapsed = clock() - sample_started
                 batch_elapsed += elapsed
                 self._update_degradation(elapsed)
-                scalar_outcomes.append(outcome)
+                for column, values in zip(columns, sample_columns):
+                    column.extend(values)
             if samples:
                 self._observe_latency(batch_elapsed)
-            outcomes = BatchOutcomes.from_outcomes(
-                start_interval, scalar_outcomes
-            )
-        elif clock is not None:
-            started = clock()
-            outcomes = self._feed_kernel(start_interval, samples)
-            if samples:
-                self._observe_latency(clock() - started)
+            outcomes = BatchOutcomes(start_interval, *columns)
         else:
-            outcomes = self._feed_kernel(start_interval, samples)
+            started = clock() if clock is not None else None
+            outcomes = BatchOutcomes(
+                start_interval,
+                *self._feed_kernel([sample[0] for sample in samples]),
+            )
+            if started is not None and clock is not None and samples:
+                self._observe_latency(clock() - started)
         if self._metrics is not None and samples:
             self._metrics.counter("serve.samples").inc(len(samples))
             self._metrics.histogram("serve.batch_size").observe(
@@ -645,185 +663,91 @@ class PhaseSession:
                 )
         return outcomes
 
-    def _feed_kernel(
-        self,
-        start_interval: int,
-        samples: Sequence[Tuple[float, float]],
-    ) -> BatchOutcomes:
-        """Columnar decision cycle for a validated batch.
+    def _feed_kernel(self, mem_values: Sequence[float]) -> Columns:
+        """The decision cycle over a validated column of ``Mem/Uop``.
 
-        Mirrors N :meth:`_feed_one` calls exactly, column-at-a-time.
-        Without a latency budget the degradation state cannot change
-        mid-batch, so the whole batch runs in the session's current mode:
+        Classifies, observes and predicts, translates each prediction to
+        a SpeedStep frequency and scores the previous prediction, for
+        every sample, in the session's current mode (the caller owns
+        clock reads and the degradation state machine):
 
-        * classification — :meth:`PhaseTable.classify_batch` over the raw
-          ``mem_per_uop`` values (the scalar path's unit-µop synthetic
-          counters reproduce the value bit-exactly, so classifying it
-          directly is identical);
+        * classification — :meth:`PhaseTable.classify_batch`;
         * prediction — in normal mode the predictor's fused
-          ``predict_batch`` cycle, then the governor's range clamp
-          (skipped wholesale when every prediction is already in range,
+          ``predict_batch`` cycle, then the clamp into the table's phase
+          range (skipped wholesale when every prediction is already in range,
           the overwhelmingly common case); in degraded mode
           ``observe_batch`` keeps the history warm and each prediction is
-          the sample's own phase, as in :meth:`_decide_degraded`;
-        * policy translation — a cached phase→frequency map plus one
-          bulk :meth:`DVFSPolicy.record_lookups` call, advancing the
-          per-phase residency counters exactly as N ``setting_for``
-          lookups would;
-        * scoring — the first sample settles the carried-over pending
-          prediction (degraded-tagged if it was made in degraded mode),
-          every later sample scores its predecessor's prediction into
-          the counters of the batch's mode.
+          the sample's own phase, the GPHT's own miss fallback;
+        * translation and scoring — one loop maps each prediction
+          through a cached phase→MHz dict, counts it for the one
+          :meth:`DVFSPolicy.record_lookups` call (advancing the
+          per-phase counters exactly as ``setting_for`` lookups would),
+          and scores the previous prediction: the first sample settles
+          the carried-over pending prediction into the ledger of the
+          mode it was made in, every later one into the current mode's.
 
-        ``upc`` is ignored here as in the scalar path: it only feeds the
-        synthetic TSC counter, which the Mem/Uop metric never reads.
+        Returns the :class:`BatchOutcomes` columns: actual phases,
+        predictions, frequencies, degraded flags and hits.
         """
-        n = len(samples)
-        if n == 0:
-            return BatchOutcomes(start_interval, [], [], [], [], [])
-        mem_values = [sample[0] for sample in samples]
-        table = self.phase_table
+        if not mem_values:
+            return [], [], [], [], []
+        governor = self._governor
+        policy = governor.policy
+        table = policy.phase_table
         actual = table.classify_batch(mem_values)
         degraded = self._degraded
         if degraded:
-            self.predictor.observe_batch(actual, mem_values)
+            governor.predictor.observe_batch(actual, mem_values)
             predicted = actual
         else:
-            predicted = self.predictor.predict_batch(actual, mem_values)
+            predicted = governor.predictor.predict_batch(actual, mem_values)
             num_phases = table.num_phases
             if min(predicted) < 1 or max(predicted) > num_phases:
                 predicted = [
                     min(max(phase, 1), num_phases) for phase in predicted
                 ]
-        frequency_map = self._frequency_by_phase
-        if frequency_map is None:
-            frequency_map = {
+        frequency_of = self._frequency_by_phase
+        if frequency_of is None:
+            frequency_of = {
                 phase_id: point.frequency_mhz
-                for phase_id, point in (
-                    self._governor.policy.assignments.items()
-                )
+                for phase_id, point in policy.assignments.items()
             }
-            self._frequency_by_phase = frequency_map
-        frequencies = [frequency_map[phase] for phase in predicted]
-        self._governor.policy.record_lookups(Counter(predicted))
+            self._frequency_by_phase = frequency_of
+        frequencies: List[int] = []
+        hits: List[Optional[bool]] = []
+        lookups: Dict[int, int] = {}
+        correct = 0
         pending = self._pending
-        first_hit: Optional[bool] = (
-            None if pending is None else pending == actual[0]
-        )
-        hits: List[Optional[bool]] = [first_hit]
-        rest_hits = [
-            prediction == outcome
-            for prediction, outcome in zip(predicted, actual[1:])
-        ]
-        hits.extend(rest_hits)
+        for phase, prediction in zip(actual, predicted):
+            frequencies.append(frequency_of[prediction])
+            lookups[prediction] = lookups.get(prediction, 0) + 1
+            if pending is None:
+                hits.append(None)
+            else:
+                hit = pending == phase
+                hits.append(hit)
+                correct += hit
+            pending = prediction
+        policy.record_lookups(lookups)
+        first_hit = hits[0]
         if first_hit is not None:
+            correct -= first_hit
             if self._pending_degraded:
                 self._degraded_scored += 1
-                if first_hit:
-                    self._degraded_correct += 1
+                self._degraded_correct += first_hit
             else:
                 self._scored += 1
-                if first_hit:
-                    self._correct += 1
+                self._correct += first_hit
         if degraded:
-            self._degraded_scored += len(rest_hits)
-            self._degraded_correct += sum(rest_hits)
+            self._degraded_scored += len(actual) - 1
+            self._degraded_correct += correct
         else:
-            self._scored += len(rest_hits)
-            self._correct += sum(rest_hits)
-        self._pending = predicted[-1]
+            self._scored += len(actual) - 1
+            self._correct += correct
+        self._pending = pending
         self._pending_degraded = degraded
-        self._samples += n
-        return BatchOutcomes(
-            start_interval, actual, predicted, frequencies, [degraded] * n, hits
-        )
-
-    @staticmethod
-    def _validate_sample(
-        interval_index: int, mem_per_uop: float, expected: int
-    ) -> None:
-        if interval_index != expected:
-            raise ConfigurationError(
-                f"out-of-order sample: expected interval {expected}, "
-                f"got {interval_index}"
-            )
-        if mem_per_uop < 0:
-            raise ConfigurationError(
-                f"Mem/Uop must be >= 0, got {mem_per_uop}"
-            )
-
-    def _feed_one(
-        self, interval_index: int, mem_per_uop: float, upc: float
-    ) -> SampleOutcome:
-        """Classify, score, train and predict for one validated sample.
-
-        No clock reads, no metrics — the callers own latency accounting
-        (per sample in :meth:`feed`, per batch in :meth:`feed_batch`).
-        """
-        if self._degraded:
-            actual, predicted, frequency_mhz = self._decide_degraded(
-                mem_per_uop
-            )
-        else:
-            actual, predicted, frequency_mhz = self._decide(mem_per_uop, upc)
-        hit: Optional[bool] = None
-        if self._pending is not None:
-            hit = self._pending == actual
-            if self._pending_degraded:
-                self._degraded_scored += 1
-                if hit:
-                    self._degraded_correct += 1
-            else:
-                self._scored += 1
-                if hit:
-                    self._correct += 1
-        self._pending = predicted
-        self._pending_degraded = self._degraded
-        self._samples += 1
-        return SampleOutcome(
-            interval=interval_index,
-            actual_phase=actual,
-            predicted_phase=predicted,
-            frequency_mhz=frequency_mhz,
-            degraded=self._degraded,
-            hit=hit,
-        )
-
-    def _decide(self, mem_per_uop: float, upc: float) -> "tuple[int, int, int]":
-        """Normal path: one governor consultation.
-
-        The counters are unit-µop synthetic: ``uops = 1`` makes the
-        governor's ``mem_transactions / uops`` reproduce ``mem_per_uop``
-        *exactly* (no float round trip), which the bit-for-bit
-        online/offline equivalence depends on.
-        """
-        counters = IntervalCounters(
-            uops=1.0,
-            mem_transactions=mem_per_uop,
-            instructions=1.0,
-            tsc_cycles=(1.0 / upc) if upc > 0 else 0.0,
-        )
-        decision = self._governor.decide(counters)
-        return (
-            decision.actual_phase,
-            decision.predicted_phase,
-            decision.setting.frequency_mhz,
-        )
-
-    def _decide_degraded(self, mem_per_uop: float) -> "tuple[int, int, int]":
-        """Degraded path: classify, train, predict last-value.
-
-        The expensive predictor lookup is skipped; the predictor still
-        observes the actual phase so its history stays warm, mirroring
-        the GPHT's own miss fallback (predict the last observed phase).
-        """
-        policy = self._governor.policy
-        actual = policy.phase_table.classify(mem_per_uop)
-        self.predictor.observe(
-            PhaseObservation(phase=actual, mem_per_uop=mem_per_uop)
-        )
-        setting = policy.setting_for(actual)
-        return actual, actual, setting.frequency_mhz
+        self._samples += len(actual)
+        return actual, predicted, frequencies, [degraded] * len(actual), hits
 
     def predict(self) -> "tuple[int, int]":
         """The standing prediction and its recommended frequency.

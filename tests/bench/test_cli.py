@@ -146,6 +146,12 @@ class TestBenchCompare:
 
 @pytest.mark.slow
 class TestBenchRunDeterminism:
+    @pytest.fixture(autouse=True)
+    def empty_result_cache(self, monkeypatch, tmp_path):
+        """Run every bench: a cell cached by an earlier run under the
+        same temp path would write no artifact here."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
     def test_smoke_runs_twice_byte_identical(self, capsys, tmp_path):
         """Two smoke runs must agree byte-for-byte on the comparable
         payload of every artifact — the property the regression gate

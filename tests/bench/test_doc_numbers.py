@@ -42,6 +42,10 @@ PASSAGES = (
 METRIC_ROWS = (
     ("EXPERIMENTS.md", r"\| (\d+) of 33 benchmarks in Q1 \|$",
      "fig03_quadrants", ("q1_count",)),
+    ("EXPERIMENTS.md",
+     r"\| ([\d.]+)× vs the best statistical predictor \(last value on all "
+     r"six\), mean of per-benchmark misprediction ratios \|$",
+     "fig04_prediction_accuracy", ("variable_misprediction_reduction",)),
     ("EXPERIMENTS.md", r"\| (\d+) feasible of 110 grid coordinates \|$",
      "fig06_exploration_space", ("n_grid_configs",)),
     ("EXPERIMENTS.md", r"; ([\d.]+%) at \(UPC 0\.1, Mem/Uop 0\.0475\) \|$",

@@ -1,6 +1,7 @@
 """Tests for the versioned benchmark-result schema."""
 
 import json
+import re
 
 import pytest
 
@@ -100,6 +101,27 @@ class TestValidatorRejections:
     def test_wall_clock_keys_allowed_in_measured(self):
         # The measured block is host-varying by contract.
         result = BenchResult.create("b", measured={"elapsed_seconds": 1.5})
+        validate_payload(result.to_payload())
+
+    def test_rejects_timings_anywhere_in_details(self):
+        for details, named in (
+            ({"grid": [{"workers": 1, "elapsed_s": 0.5}]}, "details.grid[0]"),
+            ({"samples_per_s": 10.0}, "details"),
+            ({"rows": [[{"cell": {"wall_clock": 1}}]]}, "details.rows[0][0].cell"),
+        ):
+            with pytest.raises(BenchFormatError, match=re.escape(named)):
+                BenchResult.create("b", details=details)
+
+    def test_rejects_rate_keys_in_metrics(self):
+        with pytest.raises(BenchFormatError, match="rate_per_s"):
+            BenchResult.create("b", metrics={"rate_per_s": 2.0})
+
+    def test_per_s_is_a_suffix_rule(self):
+        result = BenchResult.create(
+            "b",
+            parameters={"samples_per_session": 256},
+            details={"grid": [{"samples_per_session": 256, "per_second": 1}]},
+        )
         validate_payload(result.to_payload())
 
     def test_rejects_missing_host(self):

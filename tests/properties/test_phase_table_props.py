@@ -1,8 +1,12 @@
 """Property-based tests for phase classification."""
 
+import math
+
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.phases import PhaseTable
+from repro.core.phases import NUMPY_MIN_VALUES, PhaseTable
+from repro.errors import ConfigurationError
 
 TABLE = PhaseTable()
 
@@ -69,3 +73,50 @@ def test_phase1_below_first_edge(value):
 @given(st.floats(min_value=0.03, max_value=10.0))
 def test_phase6_at_and_above_last_edge(value):
     assert TABLE.classify(value) == 6
+
+
+# -- classify_batch against the scalar classify ------------------------------
+
+tables = st.one_of(st.just(TABLE), edge_lists.map(PhaseTable))
+
+
+def batch_values(table):
+    """Non-negative values, exact edges, both zeros, +inf and NaN."""
+    return st.one_of(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from(table.edges + (0.0, -0.0, math.inf, math.nan)),
+    )
+
+
+def batch_series(table):
+    """Series on both sides of the bisect/NumPy crossover."""
+    values = batch_values(table)
+    return st.one_of(
+        st.lists(values, max_size=NUMPY_MIN_VALUES),
+        st.lists(values, min_size=NUMPY_MIN_VALUES, max_size=300),
+    )
+
+
+@given(st.data())
+def test_classify_batch_equals_scalar_classify(data):
+    table = data.draw(tables, label="table")
+    values = data.draw(batch_series(table), label="values")
+    assert table.classify_batch(values) == [table.classify(v) for v in values]
+
+
+@given(st.data())
+def test_classify_batch_names_the_first_negative(data):
+    table = data.draw(tables, label="table")
+    before = data.draw(batch_series(table), label="before")
+    negative = data.draw(
+        st.floats(max_value=-math.ulp(0.0), allow_nan=False), label="negative"
+    )
+    after = data.draw(
+        st.lists(st.one_of(batch_values(table), st.floats(max_value=-1.0))),
+        label="after",
+    )
+    with pytest.raises(ConfigurationError) as scalar:
+        table.classify(negative)
+    with pytest.raises(ConfigurationError) as batch:
+        table.classify_batch(before + [negative] + after)
+    assert str(batch.value) == str(scalar.value)

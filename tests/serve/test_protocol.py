@@ -6,6 +6,8 @@ import pytest
 
 from repro.serve import (
     MAX_GPHR_DEPTH,
+    MAX_HISTORY_LENGTH,
+    MAX_MARKOV_ORDER,
     PROTOCOL_VERSION,
     SessionManager,
     handle_line,
@@ -572,6 +574,63 @@ class TestGphrDepthLimit:
         )
         self.assert_names_the_limit(response)
         assert manager.active_sessions == 2
+
+
+class TestSessionSizeLimits:
+    """``markov_order`` and ``history_length`` are bounded like
+    ``gphr_depth``, at ``hello`` and ``restore`` alike."""
+
+    LIMITS = [
+        ("markov", "markov_order", MAX_MARKOV_ORDER, "order"),
+        (
+            "learned_tree",
+            "history_length",
+            MAX_HISTORY_LENGTH,
+            "history_length",
+        ),
+    ]
+
+    @staticmethod
+    def assert_names_the_limit(response, field, limit):
+        assert response["ok"] is False, response
+        assert response["error"] == "bad_request"
+        assert response["message"] == (
+            f"{field} must be <= {limit}, got {limit + 1}"
+        )
+
+    @pytest.mark.parametrize("governor, field, limit, _", LIMITS)
+    def test_hello_at_the_limit_opens(self, manager, governor, field, limit, _):
+        session = hello(manager, governor=governor, **{field: limit})
+        checkpoint = handle_request(
+            manager, {"op": "snapshot", "session": session}
+        )["checkpoint"]
+        assert checkpoint["config"][field] == limit
+
+    @pytest.mark.parametrize("governor, field, limit, _", LIMITS)
+    def test_hello_over_the_limit_is_bad_request(
+        self, manager, governor, field, limit, _
+    ):
+        response = handle_request(
+            manager, {"op": "hello", "governor": governor, field: limit + 1}
+        )
+        self.assert_names_the_limit(response, field, limit)
+        assert manager.active_sessions == 0
+
+    @pytest.mark.parametrize("governor, field, limit, predictor_key", LIMITS)
+    def test_restore_over_the_limit_is_bad_request(
+        self, manager, governor, field, limit, predictor_key
+    ):
+        session = hello(manager, governor=governor, **{field: limit})
+        checkpoint = handle_request(
+            manager, {"op": "snapshot", "session": session}
+        )["checkpoint"]
+        checkpoint["config"][field] = limit + 1
+        checkpoint["predictor"][predictor_key] = limit + 1
+        response = handle_request(
+            manager, {"op": "restore", "checkpoint": checkpoint}
+        )
+        self.assert_names_the_limit(response, field, limit)
+        assert manager.active_sessions == 1
 
 
 class TestProtocolNegotiation:
