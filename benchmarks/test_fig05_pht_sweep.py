@@ -33,12 +33,14 @@ def test_fig05_pht_sweep(benchmark, report):
     results = run_once(benchmark, run_sweep)
 
     columns = ["LastValue"] + [f"GPHT_8_{n}" for n in PHT_SIZES]
-    rows = []
-    for name in FIG5_BENCHMARKS:
-        rows.append(
-            [name]
-            + [round(results[name][c].accuracy * 100, 1) for c in columns]
-        )
+    accuracy = {
+        name: {column: results[name][column].accuracy for column in columns}
+        for name in FIG5_BENCHMARKS
+    }
+    rows = [
+        [name] + [round(accuracy[name][c] * 100, 1) for c in columns]
+        for name in FIG5_BENCHMARKS
+    ]
     report(
         "fig05_pht_sweep",
         format_table(
@@ -55,16 +57,16 @@ def test_fig05_pht_sweep(benchmark, report):
         },
         metrics={
             f"{column}_mean_accuracy": sum(
-                results[name][column].accuracy for name in FIG5_BENCHMARKS
+                accuracy[name][column] for name in FIG5_BENCHMARKS
             )
             / len(FIG5_BENCHMARKS)
             for column in columns
         },
+        details={"accuracy": accuracy},
     )
 
     for name in FIG5_BENCHMARKS:
-        per = results[name]
-        acc = {c: per[c].accuracy for c in columns}
+        acc = accuracy[name]
 
         # 'Down to 128 entries, GPHT performs almost identically to the
         # 1024 entry predictor.'
@@ -83,8 +85,7 @@ def test_fig05_pht_sweep(benchmark, report):
     # 'Observable degradations in accuracy are seen with a 64 entry
     # PHT' — visible on the hardest, most pattern-rich applications.
     degradations = [
-        results[name]["GPHT_8_128"].accuracy
-        - results[name]["GPHT_8_64"].accuracy
+        accuracy[name]["GPHT_8_128"] - accuracy[name]["GPHT_8_64"]
         for name in ("applu_in", "equake_in")
     ]
     assert max(degradations) > 0.02

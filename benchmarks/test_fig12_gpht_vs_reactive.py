@@ -18,6 +18,13 @@ from repro.workloads.spec2000 import FIG12_BENCHMARKS, VARIABLE_BENCHMARKS
 
 N_INTERVALS = 300
 
+#: Per-benchmark values recorded in ``details`` for each governor.
+DETAIL_METRICS = (
+    "edp_improvement",
+    "performance_degradation",
+    "handler_overhead_fraction",
+)
+
 
 def run_both():
     gpht = run_comparison_suite(
@@ -80,6 +87,13 @@ def test_fig12_gpht_vs_reactive(benchmark, report):
             "reactive_mean_degradation": reactive.mean(
                 "performance_degradation"
             ),
+        },
+        details={
+            governor: {
+                name: {key: suite.value(name, key) for key in DETAIL_METRICS}
+                for name in FIG12_BENCHMARKS
+            }
+            for governor, suite in (("gpht", gpht), ("reactive", reactive))
         },
     )
 

@@ -116,6 +116,19 @@ def test_fig13_bounded_degradation(benchmark, report, machine):
                 }
             ),
         },
+        details={
+            name: {
+                "performance_degradation": (
+                    bounded[name].comparison.performance_degradation
+                ),
+                "power_savings": bounded[name].comparison.power_savings,
+                "edp_improvement": bounded[name].comparison.edp_improvement,
+                "aggressive_edp_improvement": (
+                    aggressive[name].comparison.edp_improvement
+                ),
+            }
+            for name in FIG13_BENCHMARKS
+        },
     )
 
     for name in FIG13_BENCHMARKS:

@@ -37,8 +37,8 @@ _LAZY_EXPORTS = {
     "sweep_granularity": "repro.analysis.sweeps",
     "sweep_frequencies": "repro.analysis.sweeps",
     "Claim": "repro.analysis.paper_report",
+    "certify": "repro.analysis.paper_report",
     "claims_payload": "repro.analysis.paper_report",
-    "measure_claims": "repro.analysis.paper_report",
     "render_report": "repro.analysis.paper_report",
 }
 

@@ -1,38 +1,36 @@
-"""One-command reproduction report: re-measure every headline claim.
+"""One-command reproduction report: certify every headline claim.
 
-Regenerates the paper's headline numbers live and checks each against
-its published counterpart, producing a pass/fail "reproduction
-certificate".  This is the programmatic core behind
-``python -m repro report`` and the evidence base of EXPERIMENTS.md.
+Checks the paper's headline numbers against the bench artifacts that
+measure them, producing a pass/fail "reproduction certificate".  This is
+the programmatic core behind ``python -m repro report``.
 
-Each claim is a :class:`Claim`: what the paper says, what this
-reproduction measures, and the shape criterion under which the claim
-counts as reproduced (absolute numbers are not expected to match a
-simulated platform; directions and rough factors are).
-
-Measurement runs through the :mod:`repro.exec` engine — all predictor
-evaluations and baseline-vs-managed suites are independent cells, so
-``repro report --jobs N`` fans them out over processes and a warm
-result cache makes re-certification nearly free.
+Each claim is declared once in :data:`CLAIMS`: what the paper says, the
+artifact values it reads, how the measurement prints, and the shape
+criterion under which it counts as reproduced (absolute numbers are not
+expected to match a simulated platform; directions and rough factors
+are).  :func:`certify` evaluates the table over the payloads
+:func:`repro.bench.load_results_dir` loads; nothing here measures.  To
+certify fresh numbers, run ``repro bench run --tag figures --out DIR``,
+then ``repro report DIR``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from repro.analysis.reporting import format_table
-from repro.exec.cache import ResultCache
-from repro.exec.engine import ExecutionEngine, make_engine
-from repro.exec.results import MetricValue
-from repro.exec.spec import ExperimentSpec
-from repro.system.experiment import run_comparison_suite
-from repro.system.metrics import mean
-from repro.workloads.spec2000 import (
-    FIG4_BENCHMARK_ORDER,
-    FIG12_BENCHMARKS,
-    FIG13_BENCHMARKS,
-)
+from repro.errors import ConfigurationError
+
+#: Where a claim input lives: artifact name, block, then keys inside it.
+#: A ``*`` key maps over every key at its level, giving ``{key: value}``.
+KeyPath = Tuple[str, ...]
+
+FIG4 = "fig04_prediction_accuracy"
+FIG5 = "fig05_pht_sweep"
+FIG11 = "fig11_dvfs_results"
+FIG12 = "fig12_gpht_vs_reactive"
+FIG13 = "fig13_bounded_degradation"
 
 
 @dataclass(frozen=True)
@@ -57,223 +55,194 @@ class Claim:
         return "REPRODUCED" if self.holds else "NOT REPRODUCED"
 
 
-def _accuracy_cells(
-    engine: ExecutionEngine, n_accuracy: int
-) -> Dict[str, Mapping[str, MetricValue]]:
-    """Evaluate every predictor-accuracy cell the claims need, keyed
-    ``"<benchmark>/<predictor>"``."""
-    wanted = [(name, "GPHT_8_1024") for name in FIG4_BENCHMARK_ORDER]
-    wanted += [("applu_in", "LastValue"), ("applu_in", "GPHT_8_128")]
-    specs = {
-        f"{name}/{predictor}": ExperimentSpec.create(
-            "predictor_accuracy",
-            benchmark=name,
-            n_intervals=n_accuracy,
-            predictor=predictor,
-            phase_edges=None,
-        )
-        for name, predictor in wanted
-    }
-    report = engine.run(list(specs.values()))
-    return {key: report.value(spec) for key, spec in specs.items()}
+@dataclass(frozen=True)
+class ClaimSpec:
+    """One declared headline claim.
 
-
-def _suite_metrics(
-    benchmark_names: "Sequence[str]",
-    governor: str,
-    policy: str,
-    n_intervals: int,
-    engine: ExecutionEngine,
-) -> Dict[str, Mapping[str, MetricValue]]:
-    """Per-benchmark comparison summaries for one managed suite."""
-    return dict(
-        run_comparison_suite(
-            benchmark_names,
-            governor=governor,
-            policy=policy,
-            n_intervals=n_intervals,
-            engine=engine,
-        ).to_dict()
-    )
-
-
-def _rate(metrics: Mapping[str, MetricValue], key: str) -> float:
-    value = metrics[key]
-    assert isinstance(value, (int, float))
-    return float(value)
-
-
-def measure_claims(
-    n_accuracy: int = 1000,
-    n_intervals: int = 300,
-    engine: Optional[ExecutionEngine] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[Claim]:
-    """Re-measure the paper's headline claims.
-
-    Args:
-        n_accuracy: Trace length for predictor-accuracy claims.
-        n_intervals: Trace length for full-system management claims.
-        engine: Execution engine (overrides ``jobs``/``cache``).
-        jobs: Worker processes when no engine is given (1 = serial).
-        cache: On-disk result cache when no engine is given.
-
-    Returns:
-        The claims in presentation order.
+    Attributes:
+        name: Short identifier of the claim.
+        paper: What the paper reports.
+        reads: Input name -> key path of the artifact value it reads.
+        measured: Prints the measurement from the inputs, by name.
+        holds: The shape criterion over the inputs, by name.
     """
-    if engine is None:
-        engine = make_engine(jobs=jobs, cache=cache)
-    claims: List[Claim] = []
 
-    # -- prediction claims --------------------------------------------------
-    accuracy = _accuracy_cells(engine, n_accuracy)
-    high_accuracy = sum(
-        1
-        for name in FIG4_BENCHMARK_ORDER
-        if _rate(accuracy[f"{name}/GPHT_8_1024"], "accuracy") > 0.9
-    )
-    claims.append(
-        Claim(
-            name="above-90% accuracy for many benchmarks",
-            paper="above 90% prediction accuracies for many benchmarks",
-            measured=f"{high_accuracy}/{len(FIG4_BENCHMARK_ORDER)} "
-            "benchmarks above 90%",
-            holds=high_accuracy >= 20,
+    name: str
+    paper: str
+    reads: Mapping[str, KeyPath]
+    measured: Callable[..., str]
+    holds: Callable[..., bool]
+
+    def evaluate(self, artifacts: Mapping[str, Mapping[str, Any]]) -> Claim:
+        """Judge this claim on loaded artifact payloads."""
+        inputs = {
+            name: _read(artifacts, path, self.name)
+            for name, path in self.reads.items()
+        }
+        return Claim(
+            self.name, self.paper, self.measured(**inputs), self.holds(**inputs)
         )
-    )
 
-    applu_last_rate = _rate(
-        accuracy["applu_in/LastValue"], "misprediction_rate"
-    )
-    applu_gpht_rate = _rate(
-        accuracy["applu_in/GPHT_8_1024"], "misprediction_rate"
-    )
-    factor = (
-        applu_last_rate / applu_gpht_rate
-        if applu_gpht_rate > 0.0
-        else float("inf")
-    )
-    claims.append(
-        Claim(
-            name="6X misprediction reduction (applu)",
-            paper="reduce mispredictions by more than 6X over statistical "
-            "approaches",
-            measured=f"{factor:.1f}X (last value "
-            f"{applu_last_rate:.1%} -> GPHT "
-            f"{applu_gpht_rate:.1%})",
-            holds=factor > 6.0,
+
+def _read(
+    artifacts: Mapping[str, Mapping[str, Any]], path: KeyPath, claim: str
+) -> Any:
+    """The value at ``path``; a missing artifact or key raises
+    :class:`ConfigurationError` naming both."""
+    artifact, *keys = path
+    if artifact not in artifacts:
+        raise ConfigurationError(
+            f"claim {claim!r} reads artifact {artifact!r}, which the "
+            "results directory lacks"
         )
-    )
 
-    small_accuracy = _rate(accuracy["applu_in/GPHT_8_128"], "accuracy")
-    large_accuracy = _rate(accuracy["applu_in/GPHT_8_1024"], "accuracy")
-    claims.append(
-        Claim(
-            name="128-entry PHT is sufficient",
-            paper="down to 128 entries, GPHT performs almost identically "
-            "to the 1024 entry predictor",
-            measured=f"GPHT(8,128) {small_accuracy:.1%} vs GPHT(8,1024) "
-            f"{large_accuracy:.1%} on applu",
-            holds=abs(small_accuracy - large_accuracy) < 0.03,
-        )
-    )
+    def walk(value: Any, depth: int) -> Any:
+        if depth == len(keys):
+            return value
+        if keys[depth] == "*" and isinstance(value, Mapping) and value:
+            return {key: walk(item, depth + 1) for key, item in value.items()}
+        # ``details: null`` or an empty ``*`` level counts as missing.
+        value = value.get(keys[depth]) if isinstance(value, Mapping) else None
+        if value is None:
+            raise ConfigurationError(
+                f"claim {claim!r} reads {'.'.join(keys)} from artifact "
+                f"{artifact!r}, which has no {'.'.join(keys[: depth + 1])}"
+            )
+        return walk(value, depth + 1)
 
-    # -- management claims --------------------------------------------------
-    gpht_suite = _suite_metrics(
-        FIG12_BENCHMARKS, "gpht", "table2", n_intervals, engine
-    )
-    reactive_suite = _suite_metrics(
-        FIG12_BENCHMARKS, "reactive", "table2", n_intervals, engine
-    )
+    return walk(artifacts[artifact], 0)
 
-    equake = _rate(gpht_suite["equake_in"], "edp_improvement")
-    claims.append(
-        Claim(
-            name="EDP improvement up to ~34% on variable apps",
-            paper="EDP improvements as high as 34% — in the case of "
-            "equake — for the highly variable Q3 benchmarks",
-            measured=f"equake {equake:.1%}",
-            holds=0.25 < equake < 0.50,
-        )
-    )
 
-    q2_floor = min(
-        _rate(gpht_suite[name], "edp_improvement")
-        for name in ("swim_in", "mcf_inp")
-    )
-    claims.append(
-        Claim(
-            name="Q2 benchmarks above 60% EDP improvement",
-            paper="the trivial Q2 applications swim and mcf exhibit above "
-            "60% EDP improvements",
-            measured=f"min(swim, mcf) = {q2_floor:.1%}",
-            holds=q2_floor > 0.50,
-        )
-    )
+def _reduction(last: float, gpht: float) -> float:
+    """How many times fewer mispredictions GPHT makes than last value."""
+    gpht_rate = 1.0 - gpht
+    return (1.0 - last) / gpht_rate if gpht_rate > 0.0 else float("inf")
 
-    gpht_avg = mean(
-        [
-            _rate(gpht_suite[name], "edp_improvement")
-            for name in FIG12_BENCHMARKS
-        ]
-    )
-    reactive_avg = mean(
-        [
-            _rate(reactive_suite[name], "edp_improvement")
-            for name in FIG12_BENCHMARKS
-        ]
-    )
-    claims.append(
-        Claim(
-            name="proactive beats reactive management",
-            paper="a 7% EDP improvement over reactive methods (27% vs 20%)",
-            measured=f"GPHT {gpht_avg:.1%} vs reactive {reactive_avg:.1%} "
-            f"(+{(gpht_avg - reactive_avg) * 100:.1f} pts)",
-            holds=gpht_avg > reactive_avg + 0.01,
-        )
-    )
 
-    handler_fraction = max(
-        _rate(gpht_suite[name], "handler_overhead_fraction")
-        for name in FIG12_BENCHMARKS
-    )
-    claims.append(
-        Claim(
-            name="no observable overheads",
-            paper="with no visible overheads",
-            measured=f"worst handler share {handler_fraction:.4%} of "
-            "execution",
-            holds=handler_fraction < 1e-3,
-        )
-    )
+def _halved(bounded: Mapping[str, float], aggressive: Mapping[str, float]) -> bool:
+    """Whether every bounded EDP gain is under half the aggressive one."""
+    return all(bounded[name] < aggressive[name] / 2 for name in bounded)
 
-    # -- bounded degradation (Section 6.3) ----------------------------------
-    bounded = _suite_metrics(
-        FIG13_BENCHMARKS, "gpht", "bounded", n_intervals, engine
-    )
-    worst_degradation = max(
-        _rate(bounded[name], "performance_degradation")
-        for name in FIG13_BENCHMARKS
-    )
-    reduced_2x = all(
-        _rate(bounded[name], "edp_improvement")
-        < _rate(gpht_suite[name], "edp_improvement") / 2
-        for name in FIG13_BENCHMARKS
-        if name in gpht_suite
-    )
-    claims.append(
-        Claim(
-            name="bounded degradation below 5%",
-            paper="performance degradations significantly lower than 5%, "
-            "EDP improvements reduced by more than 2X",
-            measured=f"worst degradation {worst_degradation:.1%}; "
-            f"2X reduction on all five: {reduced_2x}",
-            holds=worst_degradation < 0.05 and reduced_2x,
-        )
-    )
 
-    return claims
+#: The headline claims, in presentation order.
+CLAIMS: Tuple[ClaimSpec, ...] = (
+    ClaimSpec(
+        name="above-90% accuracy for many benchmarks",
+        paper="above 90% prediction accuracies for many benchmarks",
+        reads={"gpht": (FIG4, "details", "accuracy", "*", "GPHT_8_1024")},
+        measured=lambda gpht: (
+            f"{sum(a > 0.9 for a in gpht.values())}/{len(gpht)} "
+            "benchmarks above 90%"
+        ),
+        holds=lambda gpht: sum(a > 0.9 for a in gpht.values()) >= 20,
+    ),
+    ClaimSpec(
+        name="6X misprediction reduction (applu)",
+        paper="reduce mispredictions by more than 6X over statistical "
+        "approaches",
+        reads={
+            "last": (FIG4, "metrics", "applu_last_value_accuracy"),
+            "gpht": (FIG4, "metrics", "applu_gpht_accuracy"),
+        },
+        measured=lambda last, gpht: (
+            f"{_reduction(last, gpht):.1f}X (last value {1.0 - last:.1%} "
+            f"-> GPHT {1.0 - gpht:.1%})"
+        ),
+        holds=lambda last, gpht: _reduction(last, gpht) > 6.0,
+    ),
+    ClaimSpec(
+        name="128-entry PHT is sufficient",
+        paper="down to 128 entries, GPHT performs almost identically "
+        "to the 1024 entry predictor",
+        reads={
+            "small": (FIG5, "details", "accuracy", "applu_in", "GPHT_8_128"),
+            "large": (FIG5, "details", "accuracy", "applu_in", "GPHT_8_1024"),
+        },
+        measured=lambda small, large: (
+            f"GPHT(8,128) {small:.1%} vs GPHT(8,1024) {large:.1%} on applu"
+        ),
+        holds=lambda small, large: abs(small - large) < 0.03,
+    ),
+    ClaimSpec(
+        name="EDP improvement up to ~34% on variable apps",
+        paper="EDP improvements as high as 34% — in the case of "
+        "equake — for the highly variable Q3 benchmarks",
+        reads={"equake": (FIG11, "metrics", "equake_edp_improvement")},
+        measured=lambda equake: f"equake {equake:.1%}",
+        holds=lambda equake: 0.25 < equake < 0.50,
+    ),
+    ClaimSpec(
+        name="Q2 benchmarks above 60% EDP improvement",
+        paper="the trivial Q2 applications swim and mcf exhibit above "
+        "60% EDP improvements",
+        reads={
+            "swim": (FIG11, "metrics", "swim_edp_improvement"),
+            "mcf": (FIG11, "metrics", "mcf_edp_improvement"),
+        },
+        measured=lambda swim, mcf: f"min(swim, mcf) = {min(swim, mcf):.1%}",
+        holds=lambda swim, mcf: min(swim, mcf) > 0.50,
+    ),
+    ClaimSpec(
+        name="proactive beats reactive management",
+        paper="a 7% EDP improvement over reactive methods (27% vs 20%)",
+        reads={
+            "gpht": (FIG12, "metrics", "gpht_mean_edp_improvement"),
+            "reactive": (FIG12, "metrics", "reactive_mean_edp_improvement"),
+        },
+        measured=lambda gpht, reactive: (
+            f"GPHT {gpht:.1%} vs reactive {reactive:.1%} "
+            f"(+{(gpht - reactive) * 100:.1f} pts)"
+        ),
+        holds=lambda gpht, reactive: gpht > reactive + 0.01,
+    ),
+    ClaimSpec(
+        name="no observable overheads",
+        paper="with no visible overheads",
+        reads={
+            "share": (FIG12, "details", "gpht", "*", "handler_overhead_fraction")
+        },
+        measured=lambda share: (
+            f"worst handler share {max(share.values()):.4%} of execution"
+        ),
+        holds=lambda share: max(share.values()) < 1e-3,
+    ),
+    ClaimSpec(
+        name="bounded degradation below 5%",
+        paper="performance degradations significantly lower than 5%, "
+        "EDP improvements reduced by more than 2X",
+        reads={
+            "worst": (FIG13, "metrics", "max_degradation"),
+            "bounded": (FIG13, "details", "*", "edp_improvement"),
+            "aggressive": (FIG13, "details", "*", "aggressive_edp_improvement"),
+        },
+        measured=lambda worst, bounded, aggressive: (
+            f"worst degradation {worst:.1%}; 2X reduction on all five: "
+            f"{_halved(bounded, aggressive)}"
+        ),
+        holds=lambda worst, bounded, aggressive: (
+            worst < 0.05 and _halved(bounded, aggressive)
+        ),
+    ),
+    ClaimSpec(
+        name="2.4X misprediction reduction (Q3+Q4 average)",
+        paper="2.4X less mispredictions than the statistical predictors "
+        "on the variable Q3 and Q4 benchmarks",
+        reads={"factor": (FIG4, "metrics", "variable_misprediction_reduction")},
+        measured=lambda factor: (
+            f"{factor:.2f}X vs the best statistical predictor, mean over "
+            "the six Q3+Q4 benchmarks"
+        ),
+        holds=lambda factor: factor > 2.0,
+    ),
+)
+
+
+def certify(artifacts: Mapping[str, Mapping[str, Any]]) -> List[Claim]:
+    """Judge every declared claim, in presentation order, on artifact
+    payloads keyed by name (as :func:`repro.bench.load_results_dir`
+    returns them).  A missing artifact or key raises
+    :class:`ConfigurationError`."""
+    return [spec.evaluate(artifacts) for spec in CLAIMS]
 
 
 def claims_payload(claims: List[Claim]) -> Dict[str, object]:
@@ -308,8 +277,3 @@ def render_report(claims: List[Claim]) -> str:
     return header + "\n\n" + format_table(
         ["claim", "paper", "measured", "verdict"], rows
     )
-
-
-def claims_by_name(claims: List[Claim]) -> Dict[str, Claim]:
-    """Index claims by their short names."""
-    return {claim.name: claim for claim in claims}

@@ -52,6 +52,8 @@ def _spec(
 
 #: Every benchmark module, in suite order.  ``smoke`` tags the fast
 #: subset CI runs on shared runners (seconds, not minutes).
+#: ``throughput`` tags every bench that records wall-clock ``measured``
+#: values; ``repro bench run`` runs those one at a time.
 BENCHES: Tuple[BenchSpec, ...] = (
     _spec("table1_phase_definitions", ("tables", "smoke")),
     _spec("table2_dvfs_settings", ("tables", "smoke")),
@@ -61,7 +63,7 @@ BENCHES: Tuple[BenchSpec, ...] = (
     _spec("fig05_pht_sweep", ("figures",)),
     _spec("fig06_exploration_space", ("figures",)),
     _spec("fig07_dvfs_invariance", ("figures",)),
-    _spec("fig08_handler_overhead", ("figures",),
+    _spec("fig08_handler_overhead", ("figures", "throughput"),
           artifacts=("fig08_handler_overhead", "fig08_overhead_fraction")),
     _spec("fig09_measurement_platform", ("figures",)),
     _spec("fig10_applu_full_system", ("figures",)),

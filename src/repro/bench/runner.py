@@ -8,9 +8,8 @@ lands its text + JSON artifacts there instead of the committed
 ``benchmarks/results``.  Routing through :class:`ExecutionEngine`
 buys ``--jobs`` fan-out, progress hooks and tracing for free.
 
-Bench cells default to the :class:`~repro.exec.cache.NullCache`:
-caching a wall-clock measurement is exactly the staleness this
-subsystem exists to prevent.
+``repro bench run`` always uses the :class:`~repro.exec.cache.NullCache`:
+a cached cell would skip the module run that writes its artifacts.
 """
 
 from __future__ import annotations
@@ -31,6 +30,9 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 #: Tail of subprocess output kept in a failed cell's value.
 _OUTPUT_TAIL_CHARS = 4000
 
+#: Tag of the benches whose artifacts hold wall-clock timings.
+TIMED_TAG = "throughput"
+
 
 def default_bench_dir() -> Path:
     """Locate the ``benchmarks/`` tree relative to the working directory."""
@@ -39,7 +41,8 @@ def default_bench_dir() -> Path:
         return candidate
     raise ConfigurationError(
         "no benchmarks/ directory under the current working directory; "
-        "pass --bench-dir"
+        "pass --bench-dir to 'bench run' or a results directory to "
+        "'report'"
     )
 
 
@@ -112,15 +115,22 @@ def run_benches(
     bench_dir: Path,
     out_dir: Path,
 ) -> List[Dict[str, object]]:
-    """Execute the selected benches, returning per-bench run records."""
+    """Execute the selected benches, returning per-bench run records in
+    the order of ``benches``.  The untimed benches run as one batch; then
+    each :data:`TIMED_TAG` bench runs alone, beside no other bench."""
     cells: List[Tuple[BenchSpec, ExperimentSpec]] = [
         (spec, bench_spec_to_cell(spec, bench_dir, out_dir))
         for spec in benches
     ]
-    report = engine.run([cell for _, cell in cells])
+    pooled = [cell for spec, cell in cells if TIMED_TAG not in spec.tags]
+    alone = [[cell] for spec, cell in cells if TIMED_TAG in spec.tags]
+    values: Dict[ExperimentSpec, CellValue] = {}
+    for batch in [pooled] + alone:
+        report = engine.run(batch)
+        values.update((cell, report.value(cell)) for cell in batch)
     records: List[Dict[str, object]] = []
     for spec, cell in cells:
-        record: Dict[str, object] = dict(report.value(cell))
+        record: Dict[str, object] = dict(values[cell])
         record["tags"] = list(spec.tags)
         record["artifacts"] = list(spec.artifacts)
         records.append(record)

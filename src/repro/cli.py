@@ -7,16 +7,16 @@ Exposes the common experiments without writing Python::
     python -m repro run mcf_inp --governor reactive --intervals 500
     python -m repro accuracy applu_in equake_in --jobs 4
     python -m repro sweep pht --jobs 4 --format json
-    python -m repro report --jobs 4 --progress
+    python -m repro report                    # certify the headline claims
     python -m repro quadrants
     python -m repro lint src/ --format json   # domain static analysis
 
-Engine-backed commands (``run``, ``accuracy``, ``sweep``, ``report``)
-share one set of execution flags: ``--jobs N`` fans cells out over
-worker processes and ``--cache-dir``/``--no-cache`` control the
-on-disk result cache (enabled by default, so an immediate re-run
-replays from disk).  ``--progress`` streams per-cell completion and
-the batch's cache statistics to stderr.
+Engine-backed commands (``run``, ``accuracy``, ``sweep``) share one
+set of execution flags: ``--jobs N`` fans cells out over worker
+processes and ``--cache-dir``/``--no-cache`` control the on-disk
+result cache (enabled by default, so an immediate re-run replays from
+disk; ``bench run`` never caches).  ``--progress`` streams per-cell
+completion and the batch's cache statistics to stderr.
 
 Every command prints aligned text; sweep commands accept
 ``--format json`` for the typed result payload, and ``run --json`` /
@@ -129,20 +129,6 @@ def _engine_parent() -> argparse.ArgumentParser:
         help="worker processes (default: 1 = serial)",
     )
     group.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "result cache directory (default: $REPRO_CACHE_DIR or "
-            "~/.cache/repro)"
-        ),
-    )
-    group.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk result cache",
-    )
-    group.add_argument(
         "--progress",
         action="store_true",
         help="stream per-cell progress and cache statistics to stderr",
@@ -164,6 +150,28 @@ def _engine_parent() -> argparse.ArgumentParser:
             "write the recorded trace as JSONL to FILE (implies --trace; "
             "default: repro-trace.jsonl)"
         ),
+    )
+    return parent
+
+
+def _cached_engine_parent() -> argparse.ArgumentParser:
+    """The engine flags plus the result-cache flags, for every
+    engine-backed command but ``bench run``, whose benches always run."""
+    parent = argparse.ArgumentParser(add_help=False, parents=[_engine_parent()])
+    group = parent.add_argument_group("result cache")
+    group.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help=(
+            "result cache directory (default: $REPRO_CACHE_DIR or "
+            "~/.cache/repro)"
+        ),
+    )
+    group.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the on-disk result cache",
     )
     return parent
 
@@ -193,7 +201,7 @@ def _format_parent(
 def _sweep_parent(default_intervals: int) -> argparse.ArgumentParser:
     """Sweep flags (benchmark selection, trace length, output format)."""
     parent = argparse.ArgumentParser(
-        add_help=False, parents=[_engine_parent(), _format_parent()]
+        add_help=False, parents=[_cached_engine_parent(), _format_parent()]
     )
     group = parent.add_argument_group("sweep")
     group.add_argument(
@@ -248,10 +256,8 @@ def _cli_engine(
     args: argparse.Namespace,
 ) -> Tuple[ExecutionEngine, Optional[StderrProgress], Optional[RingBufferTracer]]:
     """Build the execution engine an engine-backed command asked for."""
-    cache: CellCache
-    if args.no_cache:
-        cache = NullCache()
-    else:
+    cache: CellCache = NullCache()  # also for a command without cache flags
+    if not getattr(args, "no_cache", True):
         root = Path(args.cache_dir) if args.cache_dir else None
         cache = ResultCache(root)
     progress = StderrProgress() if args.progress else None
@@ -561,25 +567,14 @@ def _cmd_export_trace(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.paper_report import (
+        certify,
         claims_payload,
-        measure_claims,
         render_report,
     )
+    from repro.bench import default_bench_dir, load_results_dir
 
-    engine, _, tracer = _cli_engine(args)
-    claims = measure_claims(
-        n_accuracy=args.accuracy_intervals,
-        n_intervals=args.intervals,
-        engine=engine,
-    )
-    _write_trace(tracer, args)
-    if args.progress:
-        stats = engine.cache_stats
-        print(
-            f"cache: {stats.hits} hits / {stats.misses} misses "
-            f"({stats.hit_rate:.1%} hit rate), {stats.writes} writes",
-            file=sys.stderr,
-        )
+    results = Path(args.results) if args.results else default_bench_dir() / "results"
+    claims = certify(load_results_dir(results))
     if args.format == "json":
         print(json.dumps(claims_payload(claims), indent=2))
     else:
@@ -1333,7 +1328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser(
         "run",
-        parents=[_engine_parent()],
+        parents=[_cached_engine_parent()],
         help="run one benchmark, baseline vs managed",
     )
     run_parser.add_argument("benchmark", help="benchmark name (see 'list')")
@@ -1421,7 +1416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     frequency_parser = sweep_subparsers.add_parser(
         "frequency",
-        parents=[_engine_parent(), _format_parent()],
+        parents=[_cached_engine_parent(), _format_parent()],
         help="run one benchmark pinned at every operating point (Figure 7)",
     )
     frequency_parser.add_argument(
@@ -1455,16 +1450,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     report_parser = subparsers.add_parser(
         "report",
-        parents=[_engine_parent(), _format_parent()],
-        help="re-measure the paper's headline claims (exit 1 if any fails)",
+        parents=[_format_parent()],
+        help="certify the headline claims from bench artifacts (exit 1 if any fails)",
     )
     report_parser.add_argument(
-        "--intervals", type=int, default=300,
-        help="trace length for management claims",
-    )
-    report_parser.add_argument(
-        "--accuracy-intervals", type=int, default=1000,
-        help="trace length for prediction claims",
+        "results",
+        nargs="?",
+        metavar="RESULTS_DIR",
+        help="bench results directory (default: ./benchmarks/results)",
     )
     report_parser.set_defaults(func=_cmd_report)
 

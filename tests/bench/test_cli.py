@@ -2,11 +2,12 @@
 
 import json
 import pathlib
+import shutil
 
 import pytest
 
 from repro.bench.schema import BenchResult
-from repro.cli import main
+from repro.cli import build_parser, main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 BASELINES = REPO_ROOT / "benchmarks" / "results"
@@ -145,13 +146,34 @@ class TestBenchCompare:
 
 
 @pytest.mark.slow
-class TestBenchRunDeterminism:
-    @pytest.fixture(autouse=True)
-    def empty_result_cache(self, monkeypatch, tmp_path):
-        """Run every bench: a cell cached by an earlier run under the
-        same temp path would write no artifact here."""
+class TestBenchRunNeverCaches:
+    def test_rerun_into_a_deleted_out_dir_writes_the_artifact(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """A cached bench cell would skip the module run that writes its
+        artifact, so the second run would leave no ``--out`` at all."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        out_dir = tmp_path / "out"
+        for _ in range(2):
+            code, _, _ = run_cli(
+                capsys,
+                "bench", "run", "table1_phase_definitions",
+                "--out", str(out_dir),
+                "--bench-dir", str(REPO_ROOT / "benchmarks"),
+            )
+            assert code == 0
+            assert (out_dir / "table1_phase_definitions.json").is_file()
+            shutil.rmtree(out_dir)
 
+    def test_cache_flags_are_gone(self, capsys):
+        for flag in ("--no-cache", "--cache-dir=x"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["bench", "run", flag])
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.slow
+class TestBenchRunDeterminism:
     def test_smoke_runs_twice_byte_identical(self, capsys, tmp_path):
         """Two smoke runs must agree byte-for-byte on the comparable
         payload of every artifact — the property the regression gate

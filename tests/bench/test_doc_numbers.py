@@ -36,9 +36,11 @@ PASSAGES = (
 )
 
 
-#: (doc, pattern matching one table row, artifact, the ``metrics`` or
-#: ``measured`` value each of the pattern's groups quotes): a quote
-#: ending in ``%`` is the value as a percentage.
+#: (doc, pattern matching one table row, artifact, the value each of the
+#: pattern's groups quotes): a name is a ``metrics`` or ``measured``
+#: value, a tuple is a key path into ``details`` (a tuple because keys
+#: such as ``VarWindow_128_0.005`` hold dots).  A quote ending in ``%``
+#: is the value as a percentage.
 METRIC_ROWS = (
     ("EXPERIMENTS.md", r"\| (\d+) of 33 benchmarks in Q1 \|$",
      "fig03_quadrants", ("q1_count",)),
@@ -46,6 +48,14 @@ METRIC_ROWS = (
      r"\| ([\d.]+)× vs the best statistical predictor \(last value on all "
      r"six\), mean of per-benchmark misprediction ratios \|$",
      "fig04_prediction_accuracy", ("variable_misprediction_reduction",)),
+    ("EXPERIMENTS.md",
+     r"\| 64 entries \| [^|]+ \| applu ([\d.]+%)→([\d.]+%), "
+     r"equake ([\d.]+%)→([\d.]+%) \|$",
+     "fig05_pht_sweep",
+     (("accuracy", "applu_in", "GPHT_8_128"),
+      ("accuracy", "applu_in", "GPHT_8_64"),
+      ("accuracy", "equake_in", "GPHT_8_128"),
+      ("accuracy", "equake_in", "GPHT_8_64"))),
     ("EXPERIMENTS.md", r"\| (\d+) feasible of 110 grid coordinates \|$",
      "fig06_exploration_space", ("n_grid_configs",)),
     ("EXPERIMENTS.md", r"; ([\d.]+%) at \(UPC 0\.1, Mem/Uop 0\.0475\) \|$",
@@ -71,7 +81,36 @@ METRIC_ROWS = (
      "fig12_gpht_vs_reactive",
      ("gpht_mean_edp_improvement", "reactive_mean_edp_improvement",
       "gpht_mean_degradation", "reactive_mean_degradation")),
+    ("EXPERIMENTS.md", r"\| swim \| both identical \| ([\d.]+%) vs ([\d.]+%) \|$",
+     "fig12_gpht_vs_reactive",
+     (("gpht", "swim_in", "edp_improvement"),
+      ("reactive", "swim_in", "edp_improvement"))),
+    ("EXPERIMENTS.md",
+     r"\| mcf \| GPHT slightly better \| ([\d.]+%) vs ([\d.]+%) "
+     r"\(within noise\) \|$",
+     "fig12_gpht_vs_reactive",
+     (("gpht", "mcf_inp", "edp_improvement"),
+      ("reactive", "mcf_inp", "edp_improvement"))),
+) + tuple(
+    # Figure 13: measured degradation, EDP and (aggressive EDP).
+    ("EXPERIMENTS.md",
+     rf"\| {name} \| [\d.]+% \| ([\d.]+%) \| ([\d.]+%) \(([\d.]+%)\) \|$",
+     "fig13_bounded_degradation",
+     ((name, "performance_degradation"), (name, "edp_improvement"),
+      (name, "aggressive_edp_improvement")))
+    for name in ("mcf_inp", "applu_in", "equake_in", "swim_in", "mgrid_in")
 )
+
+
+def _value(result, key):
+    """The quoted value: a ``metrics``/``measured`` name or a
+    ``details`` key path."""
+    if isinstance(key, tuple):
+        value = result["details"]
+        for part in key:
+            value = value[part]
+        return value
+    return {**result["metrics"], **result["measured"]}[key]
 
 
 def _printed(value, quote):
@@ -130,10 +169,10 @@ def test_doc_rows_quote_the_committed_metrics():
         rows = re.findall(pattern, text, re.MULTILINE)
         assert len(rows) == 1, f"{doc}: {pattern!r} matches {len(rows)} rows"
         quotes = rows[0] if isinstance(rows[0], tuple) else (rows[0],)
+        assert len(quotes) == len(metrics), pattern
         result = json.loads((RESULTS / f"{artifact}.json").read_text())
-        values = {**result["metrics"], **result["measured"]}
         for quote, metric in zip(quotes, metrics):
-            expected = _printed(values[metric], quote)
+            expected = _printed(_value(result, metric), quote)
             if quote != expected:
                 mismatches.append(
                     f"{doc}: quotes {quote}, {artifact} {metric} is {expected}"

@@ -33,6 +33,16 @@ class TestRegistryIntegrity:
         registered = {spec.module for spec in BENCHES}
         assert modules == registered
 
+    def test_every_timed_artifact_comes_from_a_throughput_bench(self):
+        # ``repro bench run`` runs throughput benches alone; a timing
+        # taken beside other benches measures the harness.
+        owners = artifact_index()
+        for path in RESULTS.glob("*.json"):
+            payload = json.loads(path.read_text())
+            if payload["measured"]:
+                owner = owners[payload["name"]]
+                assert "throughput" in owner.tags, payload["name"]
+
     def test_artifact_names_are_unique(self):
         artifacts = [a for spec in BENCHES for a in spec.artifacts]
         assert len(artifacts) == len(set(artifacts))

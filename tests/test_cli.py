@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import build_parser, main
+
+RESULTS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 def run_cli(capsys, *argv):
@@ -104,12 +107,72 @@ class TestQuadrants:
 
 
 class TestReport:
-    def test_report_runs_and_exits_zero(self, capsys):
-        # Default (canonical) lengths: the tight 6X claim needs them.
+    """``repro report`` certifies the claims from bench artifacts."""
+
+    def copy_results(self, directory, skip=(), edit=None):
+        directory.mkdir()
+        for path in RESULTS.glob("*.json"):
+            if path.stem in skip:
+                continue
+            payload = json.loads(path.read_text())
+            if edit is not None:
+                edit(payload)
+            (directory / path.name).write_text(json.dumps(payload))
+        return directory
+
+    def test_report_runs_and_exits_zero(self, capsys, monkeypatch):
+        # With no RESULTS_DIR, it reads ./benchmarks/results.
+        monkeypatch.chdir(RESULTS.parents[1])
         code, out, _ = run_cli(capsys, "report")
         assert code == 0
-        assert "Reproduction certificate" in out
+        assert out.startswith("Reproduction certificate: 9/9")
         assert "NOT REPRODUCED" not in out
+
+    def test_json_lists_nine_holding_claims(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "report", str(RESULTS), "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["total"] == payload["reproduced"] == 9
+        assert all(claim["holds"] for claim in payload["claims"])
+
+    def test_only_a_results_dir_and_format(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["report", "--help"])
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage == (
+            "usage: repro report [-h] [--format {text,json}] [RESULTS_DIR]"
+        )
+
+    def test_missing_artifact_exits_2_naming_it(self, capsys, tmp_path):
+        results = self.copy_results(
+            tmp_path / "results", skip=("fig05_pht_sweep",)
+        )
+        code, out, err = run_cli(capsys, "report", str(results))
+        assert code == 2
+        assert out == ""
+        assert "'fig05_pht_sweep'" in err
+
+    def test_missing_details_exits_2_naming_the_artifact(
+        self, capsys, tmp_path
+    ):
+        def drop_fig12_details(payload):
+            if payload["name"] == "fig12_gpht_vs_reactive":
+                payload["details"] = None
+
+        results = self.copy_results(
+            tmp_path / "results", edit=drop_fig12_details
+        )
+        code, _, err = run_cli(capsys, "report", str(results))
+        assert code == 2
+        assert "'fig12_gpht_vs_reactive'" in err
+        assert "details" in err
+
+    def test_missing_results_dir_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "report", str(tmp_path / "nope"))
+        assert code == 2
+        assert "results directory" in err
 
 
 class TestParser:
