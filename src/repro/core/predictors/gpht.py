@@ -243,6 +243,14 @@ class GPHTPredictor(PhasePredictor):
         place with the same LRU moves, installs and evictions.  Falls
         back to the scalar loop while tracing so ``PredictionMade``
         events keep their per-interval stream.
+
+        Only the tag carried in from before the call gets the scalar
+        ``observe``'s full check: it may come from a checkpoint, absent
+        from the PHT or not its most recent entry.  A tag consulted
+        inside the loop was just hit (and, under LRU, moved to the end)
+        or installed at the end, and nothing runs before the next sample
+        trains it, so training it is one assignment under either
+        replacement policy.
         """
         if self._tracer.enabled:
             return PhasePredictor.predict_batch(self, phases, mem_values)
@@ -254,6 +262,12 @@ class GPHTPredictor(PhasePredictor):
         move_to_end = pht.move_to_end
         popitem = pht.popitem
         pending = self._pending_tag
+        if pending is not None and len(phases):
+            if pending in pht:
+                pht[pending] = phases[0]
+                if lru:
+                    move_to_end(pending)
+            pending = None
         hits = self._hits
         misses = self._misses
         tag_now = self._gphr
@@ -262,17 +276,16 @@ class GPHTPredictor(PhasePredictor):
         append = predictions.append
         for phase in phases:
             # -- observe: train the consulted entry, shift the GPHR.
-            if pending is not None and pending in pht:
+            if pending is not None:
                 pht[pending] = phase
-                if lru:
-                    move_to_end(pending)
-            pending = None
             tag_now = (phase,) + tag_now[:keep]
             # -- predict from the shifted register (GPHR[0] is ``phase``).
             if phase == EMPTY_PHASE:
+                pending = None
                 append(default_phase)
                 continue
             if EMPTY_PHASE in tag_now:
+                pending = None
                 misses += 1
                 append(phase)
                 continue

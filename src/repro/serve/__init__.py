@@ -84,6 +84,7 @@ from repro.serve.session import (
     MAX_GPHR_DEPTH,
     MAX_HISTORY_LENGTH,
     MAX_MARKOV_ORDER,
+    MAX_PHT_ENTRIES,
     SESSION_GOVERNORS,
     BatchOutcomes,
     PhaseSession,
@@ -116,6 +117,7 @@ __all__ = [
     "MAX_GPHR_DEPTH",
     "MAX_HISTORY_LENGTH",
     "MAX_MARKOV_ORDER",
+    "MAX_PHT_ENTRIES",
     "MIGRATED_CLOSE_REASON",
     "OverloadedError",
     "PROTOCOL_VERSION",

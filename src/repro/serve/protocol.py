@@ -64,7 +64,9 @@ when ``hello``/``restore`` reserve a slot.
 from __future__ import annotations
 
 import json
+import math
 import re
+from itertools import repeat
 from typing import Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
@@ -75,7 +77,7 @@ from repro.serve.manager import (
     SessionManager,
     UnknownSessionError,
 )
-from repro.serve.session import Payload, SessionConfig
+from repro.serve.session import BatchOutcomes, Payload, SessionConfig
 
 #: Current (preferred) wire protocol version.
 PROTOCOL_VERSION = 2
@@ -182,7 +184,10 @@ def handle_request(
     """Dispatch one already-parsed request; never raises.
 
     Every domain failure is mapped onto a stable error code so clients
-    can branch without parsing messages.
+    can branch without parsing messages.  A ``sample_batch`` answer
+    carries the session's :class:`BatchOutcomes` under ``outcomes``
+    (``.rows()`` gives the wire rows); :func:`serialize_response` and
+    :func:`handle_line` write it as the rows.
     """
     manager.tick()
     # Sweep on request cadence: with constant traffic to live sessions
@@ -292,6 +297,10 @@ def _op_sample(
     }
 
 
+#: The element types of a ``samples`` array checked as one column.
+_FLOAT_COLUMN = frozenset((float,))
+
+
 def _parse_batch_sample(element: object, index: int) -> Tuple[float, float]:
     """Normalize one ``samples`` array element to ``(mem_per_uop, upc)``."""
     upc: Optional[float] = 0.0
@@ -326,9 +335,18 @@ def _op_sample_batch(
             f"batch of {len(raw)} samples exceeds the per-request ceiling "
             f"of {MAX_BATCH_SAMPLES}; split it",
         )
-    samples = [
-        _parse_batch_sample(element, index) for index, element in enumerate(raw)
-    ]
+    # A column of plain floats, the form batching clients send, is
+    # checked once: any NaN or infinity makes its sum non-finite.  Any
+    # other element (an int, a bool, a pair, a string, null), or a
+    # finite column whose sum overflows, goes element by element, which
+    # accepts exactly the same batches and names the first bad index.
+    if set(map(type, raw)) == _FLOAT_COLUMN and math.isfinite(sum(raw)):
+        samples = list(zip(raw, repeat(0.0)))
+    else:
+        samples = [
+            _parse_batch_sample(element, index)
+            for index, element in enumerate(raw)
+        ]
     outcomes = session.feed_batch(start_interval, samples)
     return {
         "ok": True,
@@ -336,9 +354,10 @@ def _op_sample_batch(
         "session": session.session_id,
         "start_interval": start_interval,
         "count": len(outcomes),
-        # Straight from the columnar container — the fast path never
-        # materializes per-sample outcome objects.
-        "outcomes": outcomes.rows(),
+        # The columnar container itself, as the last key: _serialize
+        # writes its rows straight from the columns.  An in-process
+        # caller reads them with ``.rows()``.
+        "outcomes": outcomes,
     }
 
 
@@ -461,6 +480,25 @@ def handle_line(manager: SessionManager, line: str) -> str:
 
 
 def _serialize(response: Payload) -> str:
+    """The one place a payload becomes wire text.
+
+    A ``sample_batch`` answer's :class:`BatchOutcomes` (its last key)
+    is spliced in as :meth:`BatchOutcomes.rows_json`, so the line is
+    byte for byte what ``json.dumps`` would write for ``rows()``.
+    """
+    outcomes = response.get("outcomes")
+    # An exact type test: isinstance against the Sequence ABC costs
+    # several times more on every answer that carries no outcomes.
+    if type(outcomes) is BatchOutcomes:
+        head = {
+            key: value for key, value in response.items() if key != "outcomes"
+        }
+        return (
+            json.dumps(head, separators=(",", ":"))[:-1]
+            + ',"outcomes":'
+            + outcomes.rows_json()
+            + "}"
+        )
     return json.dumps(response, sort_keys=False, separators=(",", ":"))
 
 

@@ -25,7 +25,9 @@ phase, so its history stays warm for recovery.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Any,
     Callable,
@@ -86,7 +88,17 @@ MAX_MARKOV_ORDER = 4
 #: The repo studies history 4.
 MAX_HISTORY_LENGTH = 64
 
-#: Checkpoint / wire payload: JSON-able scalars and containers only.
+#: Largest GPHT pattern table a session accepts.  Every stored tag
+#: holds ``gphr_depth`` phases, so a ``snapshot`` grows with the product
+#: of the two: the answer line for a full 2048-entry table at depth 64
+#: takes about 275 KB, and 4096 entries would take about 550 KB, past
+#: the router's 512 KiB line limit.  The largest table the repo
+#: evaluates holds 1024 entries (Fig 5).
+MAX_PHT_ENTRIES = 2048
+
+#: Checkpoint / wire payload: JSON-able scalars and containers only,
+#: except that a ``sample_batch`` answer carries its ``outcomes`` as a
+#: :class:`BatchOutcomes`, which the protocol writes as JSON rows.
 Payload = Dict[str, object]
 
 #: One :meth:`PhaseSession.feed_batch` answer as parallel columns: actual
@@ -110,7 +122,8 @@ class SessionConfig:
             :func:`repro.exec.cells.build_policy`).
         gphr_depth: GPHT history depth (``gpht`` only), at most
             :data:`MAX_GPHR_DEPTH`.
-        pht_entries: GPHT pattern-table capacity (``gpht`` only).
+        pht_entries: GPHT pattern-table capacity (``gpht`` only), at
+            most :data:`MAX_PHT_ENTRIES`.
         window_size: Sliding-window length (``fixed_window`` only).
         history_length: Feature-window length (``learned_tree`` only),
             at most :data:`MAX_HISTORY_LENGTH`.
@@ -142,6 +155,7 @@ class SessionConfig:
             )
         for field_name, value, limit in (
             ("gphr_depth", self.gphr_depth, MAX_GPHR_DEPTH),
+            ("pht_entries", self.pht_entries, MAX_PHT_ENTRIES),
             ("history_length", self.history_length, MAX_HISTORY_LENGTH),
             ("markov_order", self.markov_order, MAX_MARKOV_ORDER),
         ):
@@ -284,6 +298,23 @@ class SampleOutcome:
     hit: Optional[bool]
 
 
+class RowTails(Dict[Tuple[object, ...], str]):
+    """Memo of outcome-row JSON text after the interval, one per session.
+
+    Maps ``(phase, predicted, frequency_mhz, degraded, hit)`` to the
+    text that follows the interval in that row, such as
+    ``",3,3,1600,false,true]"``; a missing row is encoded once by
+    ``json.dumps``.  A session's rows always carry the same types, which
+    is why the memo is per session: ``True == 1`` and ``1600 == 1600.0``
+    hash alike but print differently.
+    """
+
+    def __missing__(self, key: Tuple[object, ...]) -> str:
+        tail = "," + json.dumps(list(key), separators=(",", ":"))[1:]
+        self[key] = tail
+        return tail
+
+
 class BatchOutcomes(Sequence[SampleOutcome]):
     """Columnar answer to one :meth:`PhaseSession.feed_batch` call.
 
@@ -292,8 +323,11 @@ class BatchOutcomes(Sequence[SampleOutcome]):
     outcomes — but stores the response fields as parallel columns and
     only materializes ``SampleOutcome`` objects on access.  Building one
     frozen dataclass per sample costs more than the entire batched
-    decision cycle, so the columnar kernel never does: the wire layer
-    serializes straight from :meth:`rows`.
+    decision cycle, so the columnar kernel never does.  The wire layer
+    writes the answer straight from the columns with :meth:`rows_json`;
+    :meth:`rows` gives the same rows as lists.  ``row_tails`` is the
+    feeding session's :class:`RowTails` memo (a fresh one per call when
+    omitted).
     """
 
     __slots__ = (
@@ -303,6 +337,7 @@ class BatchOutcomes(Sequence[SampleOutcome]):
         "_frequencies",
         "_degraded",
         "_hits",
+        "_row_tails",
     )
 
     def __init__(
@@ -313,6 +348,7 @@ class BatchOutcomes(Sequence[SampleOutcome]):
         frequencies_mhz: List[int],
         degraded: List[bool],
         hits: List[Optional[bool]],
+        row_tails: Optional[RowTails] = None,
     ) -> None:
         self._start_interval = start_interval
         self._actual = actual_phases
@@ -320,6 +356,7 @@ class BatchOutcomes(Sequence[SampleOutcome]):
         self._frequencies = frequencies_mhz
         self._degraded = degraded
         self._hits = hits
+        self._row_tails = row_tails
 
     def __len__(self) -> int:
         return len(self._actual)
@@ -386,6 +423,25 @@ class BatchOutcomes(Sequence[SampleOutcome]):
             )
         ]
 
+    def rows_json(self) -> str:
+        """The JSON text of :meth:`rows`, byte for byte as
+        ``json.dumps(self.rows(), separators=(",", ":"))`` writes it,
+        without building the row lists: each row is ``"["``, its
+        interval and its memoized tail, filled into one template."""
+        tails = self._row_tails if self._row_tails is not None else RowTails()
+        rows = zip(
+            self._actual,
+            self._predicted,
+            self._frequencies,
+            self._degraded,
+            self._hits,
+        )
+        n = len(self._actual)
+        start = self._start_interval
+        fields = zip(range(start, start + n), map(tails.__getitem__, rows))
+        template = ",".join(["[%d%s"] * n)
+        return "[" + template % tuple(chain.from_iterable(fields)) + "]"
+
     @property
     def degraded_count(self) -> int:
         """How many samples in the batch were served degraded."""
@@ -426,6 +482,7 @@ class PhaseSession:
         self._metrics = metrics
         self._governor = self._build_governor(self._config)  # repro-analyze: disable=checkpoint-completeness -- rebuilt from config on restore; the predictor's mutable state is re-applied via restore_state
         self._frequency_by_phase: Optional[Dict[int, int]] = None  # repro-analyze: disable=checkpoint-completeness -- derived cache, rebuilt lazily from the policy assignments
+        self._row_tails = RowTails()  # repro-analyze: disable=checkpoint-completeness -- derived cache of outcome-row JSON text, refilled on demand
         self._samples = 0
         self._scored = 0
         self._correct = 0
@@ -642,12 +699,15 @@ class PhaseSession:
                     column.extend(values)
             if samples:
                 self._observe_latency(batch_elapsed)
-            outcomes = BatchOutcomes(start_interval, *columns)
+            outcomes = BatchOutcomes(
+                start_interval, *columns, row_tails=self._row_tails
+            )
         else:
             started = clock() if clock is not None else None
             outcomes = BatchOutcomes(
                 start_interval,
                 *self._feed_kernel([sample[0] for sample in samples]),
+                row_tails=self._row_tails,
             )
             if started is not None and clock is not None and samples:
                 self._observe_latency(clock() - started)

@@ -36,11 +36,12 @@ PASSAGES = (
 )
 
 
-#: (doc, pattern matching one table row, artifact, the value each of the
-#: pattern's groups quotes): a name is a ``metrics`` or ``measured``
-#: value, a tuple is a key path into ``details`` (a tuple because keys
-#: such as ``VarWindow_128_0.005`` hold dots).  A quote ending in ``%``
-#: is the value as a percentage.
+#: (doc, pattern matching one table row or sentence, artifact, the value
+#: each of the pattern's groups quotes): a name is a ``metrics`` or
+#: ``measured`` value (``host.cpu_count`` a ``host`` value), a tuple is
+#: a key path into ``details`` (a tuple because keys such as
+#: ``VarWindow_128_0.005`` hold dots).  A quote ending in ``%`` is the
+#: value as a percentage.
 METRIC_ROWS = (
     ("EXPERIMENTS.md", r"\| (\d+) of 33 benchmarks in Q1 \|$",
      "fig03_quadrants", ("q1_count",)),
@@ -99,17 +100,29 @@ METRIC_ROWS = (
      ((name, "performance_degradation"), (name, "edp_improvement"),
       (name, "aggressive_edp_improvement")))
     for name in ("mcf_inp", "applu_in", "equake_in", "swim_in", "mgrid_in")
+) + (
+    # The scale-out split, stamped with the host it was measured on.
+    ("docs/serving.md",
+     r"committed\s+run,\s+on\s+a\s+(\d+)-CPU\s+host,\s+1\s+worker\s+at\s+"
+     r"batch\s+4096\s+serves\s+([\d.]+)×\s+its\s+batch-1\s+rate,\s+and\s+"
+     r"2\s+and\s+4\s+workers\s+at\s+batch\s+4096\s+serve\s+([\d.]+)×\s+"
+     r"and\s+([\d.]+)×\s+of\s+1\s+worker",
+     "serve_scaleout",
+     ("host.cpu_count", "speedup_batching", "speedup_workers_w2",
+      "speedup_workers_w4")),
 )
 
 
 def _value(result, key):
-    """The quoted value: a ``metrics``/``measured`` name or a
-    ``details`` key path."""
+    """The quoted value: a ``metrics``/``measured`` name, a ``host.``
+    name or a ``details`` key path."""
     if isinstance(key, tuple):
         value = result["details"]
         for part in key:
             value = value[part]
         return value
+    if key.startswith("host."):
+        return result["host"][key[len("host."):]]
     return {**result["metrics"], **result["measured"]}[key]
 
 

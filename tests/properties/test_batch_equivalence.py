@@ -66,6 +66,52 @@ def _trained_markov_k():
     return predictor
 
 
+# A full 4-entry PHT at depth 3, least recently used first.  The
+# checkpointed pending tag is the GPHR, (1, 2, 3): either absent from
+# the PHT or its least recently used entry, so the kernel must train it
+# like ``observe`` (only when present, and under LRU move it to the
+# most recent end).  No shift of the GPHR can reproduce that tag on the
+# next sample, so any difference shows in the very next checkpoint.
+_CARRIED_TAG = [1, 2, 3]
+_CARRIED_PHTS = {
+    "absent": [
+        [[2, 3, 1], 3],
+        [[3, 1, 2], None],
+        [[5, 5, 5], 6],
+        [[6, 6, 6], 1],
+    ],
+    "least_recent": [
+        [_CARRIED_TAG, 2],
+        [[2, 3, 1], 3],
+        [[3, 1, 2], None],
+        [[5, 5, 5], 6],
+    ],
+}
+
+
+def _carried_gpht(replacement, carried):
+    """A GPHT restored with its pending tag ``carried``."""
+
+    def factory():
+        predictor = GPHTPredictor(3, 4, replacement)
+        predictor.restore_state(
+            {
+                "kind": "gpht",
+                "gphr_depth": 3,
+                "pht_entries": 4,
+                "replacement": replacement,
+                "gphr": list(_CARRIED_TAG),
+                "pht": _CARRIED_PHTS[carried],
+                "pending_tag": list(_CARRIED_TAG),
+                "hits": 5,
+                "misses": 7,
+            }
+        )
+        return predictor
+
+    return factory
+
+
 # The full zoo: the four kernelized predictors plus every scalar-loop
 # fallback (markov, hybrid, confidence, duration, ...), plus the
 # repro.learn predictors (markov_k overrides the batch kernels; the tree
@@ -78,6 +124,12 @@ ZOO = [
     ("fixed_window_mean", lambda: FixedWindowPredictor(4, selector="mean")),
     ("gpht_lru", lambda: GPHTPredictor(4, 8)),
     ("gpht_fifo", lambda: GPHTPredictor(3, 4, replacement="fifo")),
+    *(
+        (f"gpht_{replacement}_carried_{carried}",
+         _carried_gpht(replacement, carried))
+        for replacement in GPHTPredictor.REPLACEMENT_POLICIES
+        for carried in sorted(_CARRIED_PHTS)
+    ),
     ("variable_window", lambda: VariableWindowPredictor(8, 0.005)),
     ("variable_window_3", lambda: VariableWindowPredictor(3, 0.03)),
     ("markov", MarkovPredictor),
@@ -234,3 +286,4 @@ def test_variable_window_kernel_matches_scalar_on_spec_series(
                 phases[start:stop], mems[start:stop]
             ) == scalar_cycle(scalar_twin, phases[start:stop], mems[start:stop])
             assert batch_twin.export_state() == scalar_twin.export_state()
+

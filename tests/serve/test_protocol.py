@@ -8,12 +8,14 @@ from repro.serve import (
     MAX_GPHR_DEPTH,
     MAX_HISTORY_LENGTH,
     MAX_MARKOV_ORDER,
+    MAX_PHT_ENTRIES,
     PROTOCOL_VERSION,
     SessionManager,
     handle_line,
     handle_request,
     parse_response,
 )
+from repro.serve.protocol import MAX_LINE_BYTES
 
 
 @pytest.fixture
@@ -330,7 +332,9 @@ class TestSampleBatch:
         response = self._batch(manager, batched, 0, series)
         assert response["ok"] is True
         assert response["count"] == len(series)
-        assert response["outcomes"] == [
+        # handle_request answers the columnar container; its rows are
+        # what the wire line carries.
+        assert response["outcomes"].rows() == [
             [
                 r["interval"],
                 r["phase"],
@@ -577,8 +581,8 @@ class TestGphrDepthLimit:
 
 
 class TestSessionSizeLimits:
-    """``markov_order`` and ``history_length`` are bounded like
-    ``gphr_depth``, at ``hello`` and ``restore`` alike."""
+    """``markov_order``, ``history_length`` and ``pht_entries`` are
+    bounded like ``gphr_depth``, at ``hello`` and ``restore`` alike."""
 
     LIMITS = [
         ("markov", "markov_order", MAX_MARKOV_ORDER, "order"),
@@ -588,6 +592,7 @@ class TestSessionSizeLimits:
             MAX_HISTORY_LENGTH,
             "history_length",
         ),
+        ("gpht", "pht_entries", MAX_PHT_ENTRIES, "pht_entries"),
     ]
 
     @staticmethod
@@ -631,6 +636,39 @@ class TestSessionSizeLimits:
         )
         self.assert_names_the_limit(response, field, limit)
         assert manager.active_sessions == 1
+
+
+class TestPhtEntriesLimit:
+    """A full pattern table at the deepest history still snapshots into
+    one wire line (the limit itself is checked with the others in
+    :class:`TestSessionSizeLimits`)."""
+
+    def test_full_table_at_the_deepest_history_snapshots_in_one_line(
+        self, manager
+    ):
+        session = hello(
+            manager, gphr_depth=MAX_GPHR_DEPTH, pht_entries=MAX_PHT_ENTRIES
+        )
+        checkpoint = handle_request(
+            manager, {"op": "snapshot", "session": session}
+        )["checkpoint"]
+        # Every entry stored with a distinct tag: entry i spells i in
+        # base 6 over phases 1-6.
+        checkpoint["predictor"]["pht"] = [
+            [[1 + (i // 6**k) % 6 for k in range(MAX_GPHR_DEPTH)], 1 + i % 6]
+            for i in range(MAX_PHT_ENTRIES)
+        ]
+        restored = handle_request(
+            manager, {"op": "restore", "checkpoint": checkpoint}
+        )
+        assert restored["ok"] is True, restored
+        line = handle_line(
+            manager,
+            json.dumps({"op": "snapshot", "session": restored["session"]}),
+        )
+        answer = json.loads(line)
+        assert len(answer["checkpoint"]["predictor"]["pht"]) == MAX_PHT_ENTRIES
+        assert len(line.encode("utf-8")) + 1 < MAX_LINE_BYTES
 
 
 class TestProtocolNegotiation:

@@ -212,7 +212,7 @@ class TestShardedServerEndToEnd:
                 "start_interval": 0,
                 "samples": series,
             },
-        )["outcomes"]
+        )["outcomes"].rows()
         client = _Client(port)
         try:
             session = client.rpc(op="hello")["session"]
