@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.numerics import as_int, as_list
 
 
 @dataclass(frozen=True)
@@ -144,45 +145,17 @@ class DurationStatistics:
         Raises:
             ConfigurationError: On a malformed payload.
         """
-        if not isinstance(payload, list):
-            raise ConfigurationError(
-                f"duration statistics payload must be a list, got {payload!r}"
-            )
         statistics = cls()
-        for entry in payload:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise ConfigurationError(
-                    f"malformed duration histogram entry: {entry!r}"
+        for entry in as_list(payload, "duration statistics payload"):
+            phase, pairs = as_list(entry, "duration histogram entry", 2)
+            histogram = statistics._histograms[
+                as_int(phase, "duration histogram phase")
+            ]
+            for pair in as_list(pairs, f"duration histogram of {phase}"):
+                length, count = as_list(pair, "duration histogram pair", 2)
+                histogram[as_int(length, "duration length", minimum=1)] = (
+                    as_int(count, "duration count", minimum=1)
                 )
-            phase, pairs = entry
-            if isinstance(phase, bool) or not isinstance(phase, int):
-                raise ConfigurationError(
-                    f"duration histogram phase must be an int, got {phase!r}"
-                )
-            if not isinstance(pairs, (list, tuple)):
-                raise ConfigurationError(
-                    f"duration histogram for phase {phase} must be a list, "
-                    f"got {pairs!r}"
-                )
-            histogram = statistics._histograms[phase]
-            for pair in pairs:
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise ConfigurationError(
-                        f"malformed duration histogram pair: {pair!r}"
-                    )
-                length, count = pair
-                for value in (length, count):
-                    if isinstance(value, bool) or not isinstance(value, int):
-                        raise ConfigurationError(
-                            f"duration histogram values must be ints, "
-                            f"got {value!r}"
-                        )
-                if length < 1 or count < 1:
-                    raise ConfigurationError(
-                        f"duration histogram pair must be >= 1, "
-                        f"got ({length}, {count})"
-                    )
-                histogram[length] = count
         return statistics
 
     def continuation_probability(self, phase: int, elapsed: int) -> float:

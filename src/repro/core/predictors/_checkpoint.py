@@ -1,9 +1,9 @@
-"""Shared narrowing helpers for predictor checkpoint payloads.
+"""Helpers for predictor checkpoint payloads.
 
 ``export_state`` payloads round-trip through JSON, so ``restore_state``
-implementations must re-validate every scalar they read.  These helpers
-keep the narrowing logic (and the error wording) identical across the
-predictor zoo.
+implementations must re-validate every value they read.  Scalars and
+list shapes are narrowed by the :mod:`repro.numerics` primitives; these
+helpers cover what recurs across the predictor zoo on top of them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.predictors.base import PredictorState
 from repro.errors import ConfigurationError
-from repro.numerics import finite_float
+from repro.numerics import as_int, as_list
 
 
 def check_kind(state: PredictorState, kind: str) -> None:
@@ -35,35 +35,12 @@ def check_config(
             )
 
 
-def as_int(value: object, label: str) -> int:
-    """Narrow a checkpoint scalar to int (bools are not phase ids)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{label} must be an int, got {value!r}")
-    return value
-
-
-def as_opt_int(value: object, label: str) -> Optional[int]:
-    """Narrow a checkpoint scalar to int-or-None."""
-    if value is None:
-        return None
-    return as_int(value, label)
-
-
-def as_float(value: object, label: str) -> float:
-    """Narrow a checkpoint scalar to a finite float."""
-    number = finite_float(value)
-    if number is None:
-        raise ConfigurationError(
-            f"{label} must be a finite number, got {value!r}"
-        )
-    return number
-
-
-def int_list(state: PredictorState, key: str) -> List[int]:
-    """Extract a list-of-ints field from a checkpoint payload."""
-    raw = state.get(key)
-    if not isinstance(raw, list):
-        raise ConfigurationError(f"checkpoint {key!r} must be a list")
+def int_list(
+    state: PredictorState, key: str, length: Optional[int] = None
+) -> List[int]:
+    """A list-of-ints field of a checkpoint payload, of exactly
+    ``length`` items when ``length`` is given."""
+    raw = as_list(state.get(key), f"checkpoint {key!r}", length)
     return [as_int(v, key) for v in raw]
 
 
@@ -74,11 +51,8 @@ def count_pairs(value: object, label: str) -> List[Tuple[int, int]]:
     so exports list pairs in iteration order and restores must preserve
     it exactly — never sort.
     """
-    if not isinstance(value, list):
-        raise ConfigurationError(f"{label} must be a list, got {value!r}")
     pairs: List[Tuple[int, int]] = []
-    for entry in value:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ConfigurationError(f"malformed {label} pair: {entry!r}")
-        pairs.append((as_int(entry[0], label), as_int(entry[1], label)))
+    for entry in as_list(value, label):
+        key, count = as_list(entry, f"{label} pair", 2)
+        pairs.append((as_int(key, label), as_int(count, label)))
     return pairs

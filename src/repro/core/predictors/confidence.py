@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
 from repro.core.predictors._checkpoint import (
-    as_int,
-    as_opt_int,
     check_config,
     check_kind,
     int_list,
@@ -39,6 +37,7 @@ from repro.core.predictors.base import (
 )
 from repro.core.predictors.gpht import EMPTY_PHASE
 from repro.errors import ConfigurationError
+from repro.numerics import as_int, as_list, as_opt_int
 
 
 @dataclass
@@ -195,32 +194,11 @@ class ConfidenceGPHTPredictor(PhasePredictor):
                 ("use_threshold", self._use_threshold),
             ),
         )
-        gphr = int_list(state, "gphr")
-        if len(gphr) != self._depth:
-            raise ConfigurationError(
-                f"checkpoint GPHR has {len(gphr)} entries, expected "
-                f"{self._depth}"
-            )
-        raw_pht = state.get("pht")
-        if not isinstance(raw_pht, list):
-            raise ConfigurationError("checkpoint 'pht' must be a list")
+        gphr = int_list(state, "gphr", self._depth)
         pht: "OrderedDict[Tuple[int, ...], _Entry]" = OrderedDict()
-        for raw_entry in raw_pht:
-            if (
-                not isinstance(raw_entry, (list, tuple))
-                or len(raw_entry) != 3
-                or not isinstance(raw_entry[0], (list, tuple))
-            ):
-                raise ConfigurationError(
-                    f"malformed PHT checkpoint entry: {raw_entry!r}"
-                )
-            tag_values, prediction, confidence = raw_entry
-            tag = tuple(as_int(v, "PHT tag") for v in tag_values)
-            if len(tag) != self._depth:
-                raise ConfigurationError(
-                    f"PHT tag {tag} has length {len(tag)}, expected "
-                    f"{self._depth}"
-                )
+        for raw_entry in as_list(state.get("pht"), "checkpoint 'pht'"):
+            tag, prediction, confidence = as_list(raw_entry, "PHT entry", 3)
+            values = as_list(tag, "PHT tag", self._depth)
             entry = _Entry(
                 prediction=as_opt_int(prediction, "PHT prediction"),
                 confidence=as_int(confidence, "PHT confidence"),
@@ -230,7 +208,7 @@ class ConfidenceGPHTPredictor(PhasePredictor):
                     f"PHT confidence {entry.confidence} outside "
                     f"[0, {self._max_confidence}]"
                 )
-            pht[tag] = entry
+            pht[tuple(as_int(v, "PHT tag") for v in values)] = entry
         if len(pht) > self._capacity:
             raise ConfigurationError(
                 f"checkpoint holds {len(pht)} PHT entries, capacity is "
@@ -239,11 +217,8 @@ class ConfidenceGPHTPredictor(PhasePredictor):
         raw_pending = state.get("pending_tag")
         pending: Optional[Tuple[int, ...]] = None
         if raw_pending is not None:
-            if not isinstance(raw_pending, (list, tuple)):
-                raise ConfigurationError(
-                    f"malformed pending_tag: {raw_pending!r}"
-                )
-            pending = tuple(as_int(v, "pending tag") for v in raw_pending)
+            values = as_list(raw_pending, "pending_tag")
+            pending = tuple(as_int(v, "pending tag") for v in values)
         self._gphr = deque(gphr, maxlen=self._depth)
         self._pht = pht
         self._pending_tag = pending

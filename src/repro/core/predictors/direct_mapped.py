@@ -20,7 +20,6 @@ from collections import deque
 from typing import Deque, List, Optional, Tuple
 
 from repro.core.predictors._checkpoint import (
-    as_opt_int,
     check_config,
     check_kind,
     int_list,
@@ -32,6 +31,7 @@ from repro.core.predictors.base import (
 )
 from repro.core.predictors.gpht import EMPTY_PHASE
 from repro.errors import ConfigurationError
+from repro.numerics import as_list, as_opt_int
 
 #: Knuth's multiplicative hashing constant (golden-ratio derived).
 _HASH_MULTIPLIER = 2654435761
@@ -126,21 +126,9 @@ class DirectMappedGPHTPredictor(PhasePredictor):
                 ("table_entries", self._entries),
             ),
         )
-        gphr = int_list(state, "gphr")
-        if len(gphr) != self._depth:
-            raise ConfigurationError(
-                f"checkpoint GPHR has {len(gphr)} entries, expected "
-                f"{self._depth}"
-            )
-        raw_table = state.get("table")
-        if not isinstance(raw_table, list):
-            raise ConfigurationError("checkpoint 'table' must be a list")
-        if len(raw_table) != self._entries:
-            raise ConfigurationError(
-                f"checkpoint table has {len(raw_table)} slots, expected "
-                f"{self._entries}"
-            )
-        table = [as_opt_int(v, "table slot") for v in raw_table]
+        gphr = int_list(state, "gphr", self._depth)
+        raw = as_list(state.get("table"), "checkpoint 'table'", self._entries)
+        table = [as_opt_int(v, "table slot") for v in raw]
         pending = as_opt_int(state.get("pending_index"), "pending_index")
         if pending is not None and not 0 <= pending < self._entries:
             raise ConfigurationError(

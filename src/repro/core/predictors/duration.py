@@ -20,8 +20,6 @@ from typing import DefaultDict, Optional
 
 from repro.analysis.durations import DurationStatistics
 from repro.core.predictors._checkpoint import (
-    as_int,
-    as_opt_int,
     check_config,
     check_kind,
     count_pairs,
@@ -32,6 +30,7 @@ from repro.core.predictors.base import (
     PredictorState,
 )
 from repro.errors import ConfigurationError
+from repro.numerics import as_int, as_list, as_opt_int
 
 
 class DurationPredictor(PhasePredictor):
@@ -132,27 +131,16 @@ class DurationPredictor(PhasePredictor):
             state, (("continuation_threshold", self._threshold),)
         )
         durations = DurationStatistics.from_payload(state.get("durations"))
-        raw = state.get("successors")
-        if not isinstance(raw, list):
-            raise ConfigurationError("checkpoint 'successors' must be a list")
         successors: DefaultDict[int, "Counter[int]"] = defaultdict(Counter)
+        raw = as_list(state.get("successors"), "checkpoint 'successors'")
         for entry in raw:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise ConfigurationError(
-                    f"malformed successor checkpoint entry: {entry!r}"
-                )
-            source, pairs = entry
-            if isinstance(source, bool) or not isinstance(source, int):
-                raise ConfigurationError(
-                    f"successor source must be an int, got {source!r}"
-                )
-            counts = successors[source]
+            source, pairs = as_list(entry, "successor entry", 2)
+            counts = successors[as_int(source, "successor source")]
             for target, n in count_pairs(pairs, "successor"):
                 counts[target] = n
-        elapsed = as_int(state.get("elapsed"), "elapsed")
-        if elapsed < 0:
-            raise ConfigurationError(f"elapsed must be >= 0, got {elapsed}")
+        elapsed = as_int(state.get("elapsed"), "elapsed", minimum=0)
+        current = as_opt_int(state.get("current"), "current")
         self._durations = durations
         self._successors = successors
-        self._current = as_opt_int(state.get("current"), "current")
+        self._current = current
         self._elapsed = elapsed

@@ -35,8 +35,6 @@ from enum import Enum
 from typing import Final, List, Optional, Sequence, Tuple
 
 from repro.core.predictors._checkpoint import (
-    as_int,
-    as_opt_int,
     check_config,
     check_kind,
     int_list,
@@ -47,6 +45,7 @@ from repro.core.predictors.base import (
     PredictorState,
 )
 from repro.errors import ConfigurationError
+from repro.numerics import as_int, as_list, as_opt_int
 from repro.obs.events import PredictionMade
 
 #: GPHR fill value before any real phase has been observed.  Real phases
@@ -393,33 +392,14 @@ class GPHTPredictor(PhasePredictor):
                 ("replacement", self._replacement),
             ),
         )
-        gphr = int_list(state, "gphr")
-        if len(gphr) != self._depth:
-            raise ConfigurationError(
-                f"checkpoint GPHR has {len(gphr)} entries, expected "
-                f"{self._depth}"
-            )
-        raw_pht = state.get("pht")
-        if not isinstance(raw_pht, list):
-            raise ConfigurationError("checkpoint 'pht' must be a list")
+        gphr = int_list(state, "gphr", self._depth)
         pht: "OrderedDict[Tuple[int, ...], Optional[int]]" = OrderedDict()
-        for entry in raw_pht:
-            if (
-                not isinstance(entry, (list, tuple))
-                or len(entry) != 2
-                or not isinstance(entry[0], (list, tuple))
-            ):
-                raise ConfigurationError(
-                    f"malformed PHT checkpoint entry: {entry!r}"
-                )
-            tag_values, stored = entry
-            tag = tuple(as_int(v, "PHT tag") for v in tag_values)
-            if len(tag) != self._depth:
-                raise ConfigurationError(
-                    f"PHT tag {tag} has length {len(tag)}, expected "
-                    f"{self._depth}"
-                )
-            pht[tag] = as_opt_int(stored, "PHT value")
+        for entry in as_list(state.get("pht"), "checkpoint 'pht'"):
+            tag, stored = as_list(entry, "PHT entry", 2)
+            values = as_list(tag, "PHT tag", self._depth)
+            pht[tuple(as_int(v, "PHT tag") for v in values)] = as_opt_int(
+                stored, "PHT value"
+            )
         if len(pht) > self._capacity:
             raise ConfigurationError(
                 f"checkpoint holds {len(pht)} PHT entries, capacity is "
@@ -428,13 +408,12 @@ class GPHTPredictor(PhasePredictor):
         raw_pending = state.get("pending_tag")
         pending: Optional[Tuple[int, ...]] = None
         if raw_pending is not None:
-            if not isinstance(raw_pending, (list, tuple)):
-                raise ConfigurationError(
-                    f"malformed pending_tag: {raw_pending!r}"
-                )
-            pending = tuple(as_int(v, "pending tag") for v in raw_pending)
+            values = as_list(raw_pending, "pending_tag")
+            pending = tuple(as_int(v, "pending tag") for v in values)
+        hits = as_int(state.get("hits", 0), "hits")
+        misses = as_int(state.get("misses", 0), "misses")
         self._gphr = tuple(gphr)
         self._pht = pht
         self._pending_tag = pending
-        self._hits = as_int(state.get("hits", 0), "hits")
-        self._misses = as_int(state.get("misses", 0), "misses")
+        self._hits = hits
+        self._misses = misses

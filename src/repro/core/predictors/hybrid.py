@@ -16,12 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.predictors._checkpoint import (
-    as_int,
-    as_opt_int,
-    check_config,
-    check_kind,
-)
+from repro.core.predictors._checkpoint import check_config, check_kind
 from repro.core.predictors.base import (
     PhaseObservation,
     PhasePredictor,
@@ -30,6 +25,7 @@ from repro.core.predictors.base import (
 from repro.core.predictors.gpht import GPHTPredictor
 from repro.core.predictors.last_value import LastValuePredictor
 from repro.errors import ConfigurationError
+from repro.numerics import as_int, as_opt_int
 
 
 class TournamentPredictor(PhasePredictor):

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.predictors._checkpoint import as_int, check_kind
+from repro.core.predictors._checkpoint import check_kind
 from repro.core.predictors.base import (
     PhaseObservation,
     PhasePredictor,
     PredictorState,
 )
-from repro.errors import ConfigurationError
+from repro.numerics import as_bool, as_int
 
 
 class LastValuePredictor(PhasePredictor):
@@ -73,10 +73,6 @@ class LastValuePredictor(PhasePredictor):
     def restore_state(self, state: PredictorState) -> None:
         check_kind(state, "last_value")
         last_phase = as_int(state.get("last_phase"), "last_phase")
-        seen_any = state.get("seen_any")
-        if not isinstance(seen_any, bool):
-            raise ConfigurationError(
-                f"seen_any must be a bool, got {seen_any!r}"
-            )
+        seen_any = as_bool(state.get("seen_any"), "seen_any")
         self._last_phase = last_phase
         self._seen_any = seen_any

@@ -16,17 +16,13 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import DefaultDict, Optional
 
-from repro.core.predictors._checkpoint import (
-    as_opt_int,
-    check_kind,
-    count_pairs,
-)
+from repro.core.predictors._checkpoint import check_kind, count_pairs
 from repro.core.predictors.base import (
     PhaseObservation,
     PhasePredictor,
     PredictorState,
 )
-from repro.errors import ConfigurationError
+from repro.numerics import as_int, as_list, as_opt_int
 
 
 class MarkovPredictor(PhasePredictor):
@@ -98,22 +94,13 @@ class MarkovPredictor(PhasePredictor):
 
     def restore_state(self, state: PredictorState) -> None:
         check_kind(state, "markov1")
-        raw = state.get("transitions")
-        if not isinstance(raw, list):
-            raise ConfigurationError("checkpoint 'transitions' must be a list")
         transitions: DefaultDict[int, "Counter[int]"] = defaultdict(Counter)
+        raw = as_list(state.get("transitions"), "checkpoint 'transitions'")
         for entry in raw:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise ConfigurationError(
-                    f"malformed transition checkpoint entry: {entry!r}"
-                )
-            source, pairs = entry
-            if isinstance(source, bool) or not isinstance(source, int):
-                raise ConfigurationError(
-                    f"transition source must be an int, got {source!r}"
-                )
-            counts = transitions[source]
+            source, pairs = as_list(entry, "transition entry", 2)
+            counts = transitions[as_int(source, "transition source")]
             for target, n in count_pairs(pairs, "transition"):
                 counts[target] = n
+        current = as_opt_int(state.get("current"), "current")
         self._transitions = transitions
-        self._current = as_opt_int(state.get("current"), "current")
+        self._current = current

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.predictors._checkpoint import as_int, check_kind, int_list
+from repro.core.predictors._checkpoint import check_kind, int_list
 from repro.core.predictors.base import (
     PhaseObservation,
     PhasePredictor,
     PredictorState,
 )
 from repro.errors import ConfigurationError
+from repro.numerics import as_int
 
 
 class OraclePredictor(PhasePredictor):
@@ -70,8 +71,6 @@ class OraclePredictor(PhasePredictor):
         sequence = int_list(state, "sequence")
         if not sequence:
             raise ConfigurationError("oracle needs a non-empty phase sequence")
-        position = as_int(state.get("position"), "position")
-        if position < 0:
-            raise ConfigurationError(f"position must be >= 0, got {position}")
+        position = as_int(state.get("position"), "position", minimum=0)
         self._sequence = tuple(sequence)
         self._position = position

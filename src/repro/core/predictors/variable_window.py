@@ -18,7 +18,6 @@ from collections import deque
 from typing import Deque, List, Optional, Sequence
 
 from repro.core.predictors._checkpoint import (
-    as_float,
     check_config,
     check_kind,
     int_list,
@@ -30,6 +29,7 @@ from repro.core.predictors.base import (
 )
 from repro.core.predictors.fixed_window import majority, slide_majority
 from repro.errors import ConfigurationError
+from repro.numerics import as_opt_float
 
 
 class VariableWindowPredictor(PhasePredictor):
@@ -140,8 +140,6 @@ class VariableWindowPredictor(PhasePredictor):
                 f"checkpoint window holds {len(window)} entries, size is "
                 f"{self._window_size}"
             )
-        raw_metric = state.get("last_metric")
+        last_metric = as_opt_float(state.get("last_metric"), "last_metric")
         self._window = deque(window, maxlen=self._window_size)
-        self._last_metric = (
-            None if raw_metric is None else as_float(raw_metric, "last_metric")
-        )
+        self._last_metric = last_metric

@@ -24,7 +24,7 @@ from typing import Dict, Union
 from repro.errors import ConfigurationError
 from repro.learn.power import LearnedPowerModel
 from repro.learn.predictors import DecisionTreePhasePredictor, MarkovKPredictor
-from repro.numerics import finite_float
+from repro.numerics import as_float, as_int, as_str
 
 #: Artifact format version.
 ARTIFACT_VERSION = 1
@@ -108,17 +108,9 @@ class ModelArtifact:
             raise ConfigurationError(
                 f"artifact payload must be a dict, got {payload!r}"
             )
-        version = payload.get("version")
-        if isinstance(version, bool) or not isinstance(version, int):
-            raise ConfigurationError(
-                f"artifact version must be an int, got {version!r}"
-            )
-        kind = payload.get("kind")
-        name = payload.get("name")
-        if not isinstance(kind, str) or not isinstance(name, str):
-            raise ConfigurationError(
-                "artifact 'kind' and 'name' must be strings"
-            )
+        version = as_int(payload.get("version"), "artifact version")
+        kind = as_str(payload.get("kind"), "artifact kind")
+        name = as_str(payload.get("name"), "artifact name")
         for field in ("config", "state", "training"):
             if not isinstance(payload.get(field), dict):
                 raise ConfigurationError(
@@ -154,22 +146,11 @@ class ModelArtifact:
 
 
 def _config_int(config: Dict[str, object], key: str) -> int:
-    value = config.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(
-            f"artifact config {key!r} must be an int, got {value!r}"
-        )
-    return value
+    return as_int(config.get(key), f"artifact config {key!r}")
 
 
 def _config_float(config: Dict[str, object], key: str) -> float:
-    value = config.get(key)
-    number = finite_float(value)
-    if number is None:
-        raise ConfigurationError(
-            f"artifact config {key!r} must be a finite number, got {value!r}"
-        )
-    return number
+    return as_float(config.get(key), f"artifact config {key!r}")
 
 
 def build_model(artifact: ModelArtifact) -> LearnedModel:

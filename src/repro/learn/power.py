@@ -19,6 +19,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.core.predictors._checkpoint import check_config, check_kind
 from repro.errors import ConfigurationError
 from repro.learn.dataset import POWER_FEATURES, PowerDataset
 from repro.learn.tree import DecisionTree
@@ -137,24 +138,15 @@ class LearnedPowerModel:
 
     def restore_state(self, state: PowerModelState) -> None:
         """Install a model from an :meth:`export_state` payload."""
-        if state.get("kind") != "learned_power":
-            raise ConfigurationError(
-                f"checkpoint kind {state.get('kind')!r} is not 'learned_power'"
-            )
-        for key, expected in (
-            ("max_depth", self._max_depth),
-            ("min_samples_leaf", self._min_samples_leaf),
-        ):
-            if state.get(key) != expected:
-                raise ConfigurationError(
-                    f"checkpoint {key}={state.get(key)!r} does not match "
-                    f"this model's {key}={expected!r}"
-                )
-        if state.get("columns") != list(POWER_FEATURES):
-            raise ConfigurationError(
-                f"checkpoint columns {state.get('columns')!r} do not match "
-                f"{list(POWER_FEATURES)}"
-            )
+        check_kind(state, "learned_power")
+        check_config(
+            state,
+            (
+                ("max_depth", self._max_depth),
+                ("min_samples_leaf", self._min_samples_leaf),
+                ("columns", list(POWER_FEATURES)),
+            ),
+        )
         raw_tree = state.get("tree")
         tree = None if raw_tree is None else DecisionTree.from_payload(raw_tree)
         if tree is not None:

@@ -20,8 +20,6 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.predictors._checkpoint import (
-    as_float,
-    as_int,
     check_config,
     check_kind,
     int_list,
@@ -34,6 +32,7 @@ from repro.core.predictors.base import (
 from repro.errors import ConfigurationError
 from repro.learn.dataset import PhaseWindowDataset
 from repro.learn.tree import DecisionTree
+from repro.numerics import as_float, as_int, as_list
 
 #: Phase-history padding value (real phases are 1-based).
 _PAD_PHASE = 0  # repro-lint: disable=phase-id-range
@@ -169,13 +168,13 @@ class DecisionTreePhasePredictor(PhasePredictor):
                 f"checkpoint history holds {len(history)} entries, "
                 f"history_length is {self._history_length}"
             )
-        seen = as_int(state.get("seen"), "seen")
-        if seen < 0:
-            raise ConfigurationError(f"seen must be >= 0, got {seen}")
+        seen = as_int(state.get("seen"), "seen", minimum=0)
+        mem = as_float(state.get("mem"), "mem")
+        mem_prev = as_float(state.get("mem_prev"), "mem_prev")
         self._tree = tree
         self._history = deque(history, maxlen=self._history_length)
-        self._mem = as_float(state.get("mem"), "mem")
-        self._mem_prev = as_float(state.get("mem_prev"), "mem_prev")
+        self._mem = mem
+        self._mem_prev = mem_prev
         self._seen = seen
 
 
@@ -421,38 +420,23 @@ def _counts_from_payload(
     payload: object, label: str, order: int
 ) -> Dict[Tuple[int, ...], Dict[int, int]]:
     """Rebuild an n-gram count store from its canonical payload."""
-    if not isinstance(payload, list):
-        raise ConfigurationError(f"checkpoint {label!r} must be a list")
     counts: Dict[Tuple[int, ...], Dict[int, int]] = {}
-    for entry in payload:
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 2
-            or not isinstance(entry[0], (list, tuple))
-            or not isinstance(entry[1], (list, tuple))
-        ):
-            raise ConfigurationError(
-                f"malformed {label} checkpoint entry: {entry!r}"
-            )
-        raw_context, raw_targets = entry
-        context = tuple(as_int(v, f"{label} context") for v in raw_context)
+    for entry in as_list(payload, f"checkpoint {label!r}"):
+        raw_context, raw_targets = as_list(entry, f"{label} entry", 2)
+        context = tuple(
+            as_int(v, f"{label} context")
+            for v in as_list(raw_context, f"{label} context")
+        )
         if not 1 <= len(context) <= order:
             raise ConfigurationError(
                 f"{label} context {context} has length {len(context)}, "
                 f"expected [1, {order}]"
             )
         targets: Dict[int, int] = {}
-        for pair in raw_targets:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ConfigurationError(
-                    f"malformed {label} count pair: {pair!r}"
-                )
-            target = as_int(pair[0], f"{label} target")
-            n = as_int(pair[1], f"{label} count")
-            if n < 1:
-                raise ConfigurationError(
-                    f"{label} count must be >= 1, got {n}"
-                )
-            targets[target] = n
+        for pair in as_list(raw_targets, f"{label} targets"):
+            target, n = as_list(pair, f"{label} count pair", 2)
+            targets[as_int(target, f"{label} target")] = as_int(
+                n, f"{label} count", minimum=1
+            )
         counts[context] = targets
     return counts

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.numerics import finite_float
+from repro.numerics import as_float, as_int, as_list, as_str
 
 #: Impurity-gain floor below which a split is considered pure noise.
 MIN_GAIN = 1e-12
@@ -255,49 +255,25 @@ class DecisionTree:
             raise ConfigurationError(
                 f"unsupported tree payload version {payload.get('version')!r}"
             )
-        task = payload.get("task")
-        if not isinstance(task, str):
-            raise ConfigurationError(f"tree task must be a str, got {task!r}")
-        n_features = payload.get("n_features")
-        if isinstance(n_features, bool) or not isinstance(n_features, int):
-            raise ConfigurationError(
-                f"tree n_features must be an int, got {n_features!r}"
-            )
-        nodes = payload.get("nodes")
-        if not isinstance(nodes, list) or not nodes:
-            raise ConfigurationError("tree 'nodes' must be a non-empty list")
+        task = as_str(payload.get("task"), "tree task")
+        n_features = as_int(payload.get("n_features"), "tree n_features")
+        nodes = as_list(payload.get("nodes"), "tree 'nodes'")
         feature: List[int] = []
         threshold: List[float] = []
         left: List[int] = []
         right: List[int] = []
         value: List[Union[int, float]] = []
         for i, node in enumerate(nodes):
-            if not isinstance(node, (list, tuple)) or len(node) != 5:
-                raise ConfigurationError(f"malformed tree node {i}: {node!r}")
-            f, thr, lo, hi, val = node
-            for label, v in (("feature", f), ("left", lo), ("right", hi)):
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise ConfigurationError(
-                        f"node {i} {label} must be an int, got {v!r}"
-                    )
-            number = finite_float(thr)
-            if number is None:
-                raise ConfigurationError(
-                    f"node {i} threshold must be a finite number, got {thr!r}"
-                )
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigurationError(
-                    f"node {i} value must be a number, got {val!r}"
-                )
-            if task == "regression" and finite_float(val) is None:
-                raise ConfigurationError(
-                    f"node {i} value must be a finite number, got {val!r}"
-                )
-            feature.append(f)
-            threshold.append(number)
-            left.append(lo)
-            right.append(hi)
-            value.append(val)
+            f, thr, lo, hi, val = as_list(node, f"tree node {i}", 5)
+            feature.append(as_int(f, f"node {i} feature"))
+            threshold.append(as_float(thr, f"node {i} threshold"))
+            left.append(as_int(lo, f"node {i} left"))
+            right.append(as_int(hi, f"node {i} right"))
+            value.append(
+                as_float(val, f"node {i} value")
+                if task == "regression"
+                else as_int(val, f"node {i} value")
+            )
         return cls(task, n_features, feature, threshold, left, right, value)
 
     def __eq__(self, other: object) -> bool:

@@ -1,4 +1,4 @@
-"""Tolerance-aware float comparison helpers.
+"""Float comparison helpers and the narrowing primitives for outside input.
 
 Simulation quantities (watts, joules, seconds) are accumulated floats,
 so exact ``==``/``!=`` comparisons on them are either redundant (the
@@ -8,12 +8,21 @@ forbids raw float equality inside ``core/`` and ``power/``; these
 helpers are the sanctioned replacements, with one explicit absolute
 tolerance shared across the simulator so that determinism-sensitive
 guards behave identically everywhere.
+
+Every value that reaches a session from outside the process — a
+``hello`` config field, a ``restore`` checkpoint, the predictor or model
+state inside it, a wire request field — is narrowed by the ``as_*``
+primitives below.  Each returns the value as the type it names or raises
+:class:`~repro.errors.ConfigurationError` naming ``label`` and the
+offending value, which the serving layer answers as ``bad_request``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Sequence
+
+from repro.errors import ConfigurationError
 
 #: Absolute tolerance below which an accumulated physical quantity
 #: (seconds, joules, watts) is treated as zero.  Far below one PMI
@@ -50,3 +59,65 @@ def finite_float(value: object) -> Optional[float]:
     except OverflowError:
         return None
     return number if math.isfinite(number) else None
+
+
+def as_int(value: object, label: str, minimum: Optional[int] = None) -> int:
+    """``value`` as an int, at least ``minimum`` when one is given.
+
+    Booleans are not ints here: ``true`` is never a count or a phase id.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{label} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{label} must be >= {minimum}, got {value}")
+    return value
+
+
+def as_opt_int(
+    value: object, label: str, minimum: Optional[int] = None
+) -> Optional[int]:
+    """``value`` as an int (see :func:`as_int`), or ``None``."""
+    return None if value is None else as_int(value, label, minimum)
+
+
+def as_float(value: object, label: str) -> float:
+    """``value`` as a finite float (see :func:`finite_float`)."""
+    number = finite_float(value)
+    if number is None:
+        raise ConfigurationError(
+            f"{label} must be a finite number, got {value!r}"
+        )
+    return number
+
+
+def as_opt_float(value: object, label: str) -> Optional[float]:
+    """``value`` as a finite float (see :func:`as_float`), or ``None``."""
+    return None if value is None else as_float(value, label)
+
+
+def as_bool(value: object, label: str) -> bool:
+    """``value`` as a bool; ``0`` and ``1`` are not bools."""
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{label} must be a bool, got {value!r}")
+    return value
+
+
+def as_str(value: object, label: str) -> str:
+    """``value`` as a string."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{label} must be a string, got {value!r}")
+    return value
+
+
+def as_list(
+    value: object, label: str, length: Optional[int] = None
+) -> Sequence[object]:
+    """``value`` as a list or tuple, of exactly ``length`` items when
+    ``length`` is given.  The items are not narrowed."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{label} must be a list, got {value!r}")
+    if length is not None and len(value) != length:
+        raise ConfigurationError(
+            f"{label} must hold {length} items, got {value!r}"
+        )
+    return value

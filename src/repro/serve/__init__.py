@@ -85,6 +85,7 @@ from repro.serve.session import (
     MAX_HISTORY_LENGTH,
     MAX_MARKOV_ORDER,
     MAX_PHT_ENTRIES,
+    MAX_WINDOW_SIZE,
     SESSION_GOVERNORS,
     BatchOutcomes,
     PhaseSession,
@@ -118,6 +119,7 @@ __all__ = [
     "MAX_HISTORY_LENGTH",
     "MAX_MARKOV_ORDER",
     "MAX_PHT_ENTRIES",
+    "MAX_WINDOW_SIZE",
     "MIGRATED_CLOSE_REASON",
     "OverloadedError",
     "PROTOCOL_VERSION",

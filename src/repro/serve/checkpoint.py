@@ -31,6 +31,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 from urllib.parse import quote, unquote
 
 from repro.errors import ConfigurationError
+from repro.numerics import as_int
 
 #: Current checkpoint format version.  Bump on any incompatible change
 #: to the payload layout.
@@ -46,9 +47,10 @@ _REQUIRED_FIELDS = ("version", "config", "predictor", "samples")
 def validate_checkpoint(payload: Checkpoint) -> None:
     """Structural validation of a checkpoint payload.
 
-    Checks the version and the field skeleton; detailed per-field
-    validation happens where each field is consumed (session config,
-    predictor state).
+    Checks the outline: the version, the required fields and their
+    types.  Every other field is narrowed once, where it is consumed
+    (:meth:`~repro.serve.session.PhaseSession.from_snapshot`, the
+    session config, the predictor's ``restore_state``).
 
     Raises:
         ConfigurationError: On a non-dict payload, a missing field or an
@@ -73,17 +75,7 @@ def validate_checkpoint(payload: Checkpoint) -> None:
         raise ConfigurationError("checkpoint 'config' must be an object")
     if not isinstance(payload["predictor"], dict):
         raise ConfigurationError("checkpoint 'predictor' must be an object")
-    samples = payload["samples"]
-    if isinstance(samples, bool) or not isinstance(samples, int):
-        raise ConfigurationError(
-            "checkpoint 'samples' must be a non-negative integer, "
-            f"got {samples!r}"
-        )
-    if samples < 0:
-        raise ConfigurationError(
-            f"checkpoint 'samples' must be a non-negative integer, "
-            f"got {samples}"
-        )
+    as_int(payload["samples"], "checkpoint 'samples'", minimum=0)
 
 
 def checkpoint_to_json(payload: Checkpoint, indent: int = 0) -> str:

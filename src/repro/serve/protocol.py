@@ -70,8 +70,7 @@ from itertools import repeat
 from typing import Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
-from repro.numerics import finite_float
-from repro.serve.checkpoint import validate_checkpoint
+from repro.numerics import as_float, as_int, as_str, finite_float
 from repro.serve.manager import (
     OverloadedError,
     SessionManager,
@@ -142,40 +141,21 @@ def _require(payload: Mapping[str, object], key: str) -> object:
 
 
 def _require_str(payload: Mapping[str, object], key: str) -> str:
-    value = _require(payload, key)
-    if not isinstance(value, str):
-        raise _ProtocolError(
-            "bad_request", f"field {key!r} must be a string, got {value!r}"
-        )
-    return value
+    return as_str(_require(payload, key), key)
 
 
 def _require_int(payload: Mapping[str, object], key: str) -> int:
-    value = _require(payload, key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _ProtocolError(
-            "bad_request", f"field {key!r} must be an integer, got {value!r}"
-        )
-    return value
+    return as_int(_require(payload, key), key)
 
 
 def _require_number(payload: Mapping[str, object], key: str) -> float:
-    value = _require(payload, key)
-    number = finite_float(value)
-    if number is None:
-        raise _ProtocolError(
-            "bad_request",
-            f"field {key!r} must be a finite number, got {value!r}",
-        )
-    return number
+    return as_float(_require(payload, key), key)
 
 
 def _optional_number(
     payload: Mapping[str, object], key: str, default: float
 ) -> float:
-    if key not in payload:
-        return default
-    return _require_number(payload, key)
+    return as_float(payload[key], key) if key in payload else default
 
 
 def handle_request(
@@ -395,7 +375,6 @@ def _op_restore(
         raise _ProtocolError(
             "bad_request", "field 'checkpoint' must be an object"
         )
-    validate_checkpoint(checkpoint)
     if "session" in payload:
         session_id = _require_str(payload, "session")
         if _SESSION_ID_RE.match(session_id) is None:

@@ -50,7 +50,14 @@ from repro.core.predictors import (
     PhasePredictor,
 )
 from repro.errors import ConfigurationError
-from repro.numerics import finite_float
+from repro.numerics import (
+    as_bool,
+    as_float,
+    as_int,
+    as_opt_float,
+    as_opt_int,
+    as_str,
+)
 from repro.obs.events import SessionDegraded
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -96,6 +103,13 @@ MAX_HISTORY_LENGTH = 64
 #: evaluates holds 1024 entries (Fig 5).
 MAX_PHT_ENTRIES = 2048
 
+#: Largest ``fixed_window`` window a session accepts.  Every ``sample``
+#: copies the window to pick its majority, so a sample costs O(window),
+#: and a ``snapshot`` carries the whole window: a full 1024-entry window
+#: snapshots into about 2.5 KB.  The largest window the repo evaluates
+#: is 128 (FixWindow_128, Fig 4).
+MAX_WINDOW_SIZE = 1024
+
 #: Checkpoint / wire payload: JSON-able scalars and containers only,
 #: except that a ``sample_batch`` answer carries its ``outcomes`` as a
 #: :class:`BatchOutcomes`, which the protocol writes as JSON rows.
@@ -124,7 +138,8 @@ class SessionConfig:
             :data:`MAX_GPHR_DEPTH`.
         pht_entries: GPHT pattern-table capacity (``gpht`` only), at
             most :data:`MAX_PHT_ENTRIES`.
-        window_size: Sliding-window length (``fixed_window`` only).
+        window_size: Sliding-window length (``fixed_window`` only), at
+            most :data:`MAX_WINDOW_SIZE`.
         history_length: Feature-window length (``learned_tree`` only),
             at most :data:`MAX_HISTORY_LENGTH`.
         markov_order: Context length (``markov`` only), at most
@@ -156,6 +171,7 @@ class SessionConfig:
         for field_name, value, limit in (
             ("gphr_depth", self.gphr_depth, MAX_GPHR_DEPTH),
             ("pht_entries", self.pht_entries, MAX_PHT_ENTRIES),
+            ("window_size", self.window_size, MAX_WINDOW_SIZE),
             ("history_length", self.history_length, MAX_HISTORY_LENGTH),
             ("markov_order", self.markov_order, MAX_MARKOV_ORDER),
         ):
@@ -203,74 +219,43 @@ class SessionConfig:
 
     def to_payload(self) -> Payload:
         """JSON-able form, embedded in checkpoints and wire messages."""
-        return {
-            "governor": self.governor,
-            "policy": self.policy,
-            "gphr_depth": self.gphr_depth,
-            "pht_entries": self.pht_entries,
-            "window_size": self.window_size,
-            "history_length": self.history_length,
-            "markov_order": self.markov_order,
-            "markov_alpha": self.markov_alpha,
-            "latency_budget_s": self.latency_budget_s,
-            "cooldown": self.cooldown,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_payload(cls, payload: Payload) -> "SessionConfig":
-        """Validate and rebuild a configuration from JSON-able form."""
-        kwargs: Dict[str, object] = {}
-        for key, kind in (
-            ("governor", str),
-            ("policy", str),
-            ("gphr_depth", int),
-            ("pht_entries", int),
-            ("window_size", int),
-            ("history_length", int),
-            ("markov_order", int),
-            ("cooldown", int),
-        ):
-            if key in payload:
-                value = payload[key]
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ConfigurationError(
-                        f"session config {key!r} must be {kind.__name__}, "
-                        f"got {value!r}"
-                    )
-                kwargs[key] = value
-        if "markov_alpha" in payload:
-            alpha = finite_float(payload["markov_alpha"])
-            if alpha is None:
-                raise ConfigurationError(
-                    "markov_alpha must be a finite number, got "
-                    f"{payload['markov_alpha']!r}"
-                )
-            kwargs["markov_alpha"] = alpha
-        if payload.get("latency_budget_s") is not None:
-            budget = finite_float(payload["latency_budget_s"])
-            if budget is None:
-                raise ConfigurationError(
-                    "latency_budget_s must be a finite number or null, got "
-                    f"{payload['latency_budget_s']!r}"
-                )
-            kwargs["latency_budget_s"] = budget
-        unknown = set(payload) - {
-            "governor",
-            "policy",
-            "gphr_depth",
-            "pht_entries",
-            "window_size",
-            "history_length",
-            "markov_order",
-            "markov_alpha",
-            "latency_budget_s",
-            "cooldown",
+        """Validate and rebuild a configuration from JSON-able form.
+
+        Each field present is narrowed by its ``_CONFIG_FIELDS``
+        primitive; an absent one keeps its default.
+        """
+        kwargs = {
+            key: narrow(payload[key], key)
+            for key, narrow in _CONFIG_FIELDS.items()
+            if key in payload
         }
+        unknown = payload.keys() - _CONFIG_FIELDS.keys()
         if unknown:
             raise ConfigurationError(
                 f"unknown session config fields: {sorted(unknown)}"
             )
         return cls(**kwargs)  # type: ignore[arg-type]
+
+
+#: Every :class:`SessionConfig` field in declaration order, with the
+#: :mod:`repro.numerics` primitive that narrows it at ``hello`` and
+#: ``restore``.  Upper bounds live in ``SessionConfig.__post_init__``.
+_CONFIG_FIELDS: Dict[str, Callable[[object, str], object]] = {
+    "governor": as_str,
+    "policy": as_str,
+    "gphr_depth": as_int,
+    "pht_entries": as_int,
+    "window_size": as_int,
+    "history_length": as_int,
+    "markov_order": as_int,
+    "markov_alpha": as_float,
+    "latency_budget_s": as_opt_float,
+    "cooldown": as_int,
+}
 
 
 @dataclass(frozen=True)
@@ -913,51 +898,43 @@ class PhaseSession:
 
         validate_checkpoint(payload)
         config_payload = payload["config"]
-        assert isinstance(config_payload, dict)  # validate_checkpoint did
-        config = SessionConfig.from_payload(config_payload)
+        predictor_state = payload["predictor"]
+        samples = payload["samples"]
+        # validate_checkpoint narrowed the outline.
+        assert isinstance(config_payload, dict)
+        assert isinstance(predictor_state, dict)
+        assert isinstance(samples, int)
         session = cls(
-            config,
+            SessionConfig.from_payload(config_payload),
             session_id=session_id,
             clock=clock,
             tracer=tracer,
             metrics=metrics,
         )
-        predictor_state = payload["predictor"]
-        assert isinstance(predictor_state, dict)  # validate_checkpoint did
         session.predictor.restore_state(predictor_state)
-        session._samples = _checkpoint_int(payload, "samples")
-        session._scored = _checkpoint_int(payload, "scored")
-        session._correct = _checkpoint_int(payload, "correct")
+        session._samples = samples
+        session._scored = as_int(payload.get("scored"), "scored", minimum=0)
+        session._correct = as_int(payload.get("correct"), "correct", minimum=0)
         # Degraded-mode counters are additive: a pre-split checkpoint
         # simply restores with empty fallback statistics.
-        session._degraded_scored = _checkpoint_int(
-            payload, "degraded_scored", default=0
+        session._degraded_scored = as_int(
+            payload.get("degraded_scored", 0), "degraded_scored", minimum=0
         )
-        session._degraded_correct = _checkpoint_int(
-            payload, "degraded_correct", default=0
+        session._degraded_correct = as_int(
+            payload.get("degraded_correct", 0), "degraded_correct", minimum=0
         )
-        pending = payload.get("pending_prediction")
-        if pending is not None and (
-            isinstance(pending, bool) or not isinstance(pending, int)
-        ):
-            raise ConfigurationError(
-                f"pending_prediction must be an int or null, got {pending!r}"
-            )
-        session._pending = pending
-        session._pending_degraded = _checkpoint_bool(
-            payload, "pending_degraded", default=False
+        session._pending = as_opt_int(
+            payload.get("pending_prediction"), "pending_prediction"
         )
-        degraded = payload.get("degraded", False)
-        if not isinstance(degraded, bool):
-            raise ConfigurationError(
-                f"degraded must be a bool, got {degraded!r}"
-            )
-        session._degraded = degraded
-        session._degraded_events = _checkpoint_int(
-            payload, "degraded_events", default=0
+        session._pending_degraded = as_bool(
+            payload.get("pending_degraded", False), "pending_degraded"
         )
-        session._in_budget_streak = _checkpoint_int(
-            payload, "in_budget_streak", default=0
+        session._degraded = as_bool(payload.get("degraded", False), "degraded")
+        session._degraded_events = as_int(
+            payload.get("degraded_events", 0), "degraded_events", minimum=0
+        )
+        session._in_budget_streak = as_int(
+            payload.get("in_budget_streak", 0), "in_budget_streak", minimum=0
         )
         return session
 
@@ -983,27 +960,3 @@ class PhaseSession:
             f"<PhaseSession {self._id or '(anonymous)'} "
             f"{self._governor.name} samples={self._samples}>"
         )
-
-
-def _checkpoint_int(payload: Payload, key: str, default: Optional[int] = None) -> int:
-    """Extract a non-negative int field from a checkpoint payload."""
-    value = payload.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(
-            f"checkpoint {key!r} must be an int, got {value!r}"
-        )
-    if value < 0:
-        raise ConfigurationError(
-            f"checkpoint {key!r} must be >= 0, got {value}"
-        )
-    return value
-
-
-def _checkpoint_bool(payload: Payload, key: str, default: bool) -> bool:
-    """Extract a bool field from a checkpoint payload."""
-    value = payload.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigurationError(
-            f"checkpoint {key!r} must be a bool, got {value!r}"
-        )
-    return value

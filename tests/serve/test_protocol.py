@@ -9,6 +9,7 @@ from repro.serve import (
     MAX_HISTORY_LENGTH,
     MAX_MARKOV_ORDER,
     MAX_PHT_ENTRIES,
+    MAX_WINDOW_SIZE,
     PROTOCOL_VERSION,
     SessionManager,
     handle_line,
@@ -581,8 +582,9 @@ class TestGphrDepthLimit:
 
 
 class TestSessionSizeLimits:
-    """``markov_order``, ``history_length`` and ``pht_entries`` are
-    bounded like ``gphr_depth``, at ``hello`` and ``restore`` alike."""
+    """``markov_order``, ``history_length``, ``pht_entries`` and
+    ``window_size`` are bounded like ``gphr_depth``, at ``hello`` and
+    ``restore`` alike."""
 
     LIMITS = [
         ("markov", "markov_order", MAX_MARKOV_ORDER, "order"),
@@ -593,6 +595,7 @@ class TestSessionSizeLimits:
             "history_length",
         ),
         ("gpht", "pht_entries", MAX_PHT_ENTRIES, "pht_entries"),
+        ("fixed_window", "window_size", MAX_WINDOW_SIZE, "window_size"),
     ]
 
     @staticmethod
@@ -635,6 +638,32 @@ class TestSessionSizeLimits:
             manager, {"op": "restore", "checkpoint": checkpoint}
         )
         self.assert_names_the_limit(response, field, limit)
+        assert manager.active_sessions == 1
+
+    def test_window_size_too_large_for_a_deque_is_bad_request(self, manager):
+        # 2**63 overflows deque(maxlen=...): before the bound it answered
+        # "internal" at hello and restore alike.
+        huge = 2**63
+        message = f"window_size must be <= {MAX_WINDOW_SIZE}, got {huge}"
+        response = handle_request(
+            manager,
+            {"op": "hello", "governor": "fixed_window", "window_size": huge},
+        )
+        assert response == {
+            "ok": False, "error": "bad_request", "message": message
+        }
+        session = hello(manager, governor="fixed_window")
+        checkpoint = handle_request(
+            manager, {"op": "snapshot", "session": session}
+        )["checkpoint"]
+        checkpoint["config"]["window_size"] = huge
+        checkpoint["predictor"]["window_size"] = huge
+        response = handle_request(
+            manager, {"op": "restore", "checkpoint": checkpoint}
+        )
+        assert response == {
+            "ok": False, "error": "bad_request", "message": message
+        }
         assert manager.active_sessions == 1
 
 

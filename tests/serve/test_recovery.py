@@ -29,7 +29,8 @@ from repro.serve import (
 )
 from repro.serve.checkpoint import CheckpointStore
 from repro.serve.manager import SessionManager
-from repro.serve.session import PhaseSession
+from repro.serve.session import PhaseSession, SessionConfig
+from repro.serve.shard import _adopt_shard_sessions
 
 mem_values = st.sampled_from([0.001, 0.011, 0.02, 0.03, 0.045, 0.06])
 
@@ -387,6 +388,49 @@ class TestWorkerBootAdoption:
                 )
                 assert response["ok"] is True, response
                 assert response["outcomes"] == rows
+            client.close()
+        finally:
+            server.stop()
+
+    def test_skips_records_it_cannot_restore(self, tmp_path):
+        # One good fixed_window record among records a worker cannot
+        # restore: windows past MAX_WINDOW_SIZE (2**63 once crashed the
+        # boot with OverflowError), a torn write and a stray temp file.
+        good = PhaseSession(SessionConfig(governor="fixed_window"))
+        good.feed_batch(0, [(0.001, 0.0), (0.02, 0.0), (0.05, 0.0)])
+        store = CheckpointStore(tmp_path)
+        store.save("good", good.snapshot())
+        for session_id, size in (("huge", 2**63), ("wide", 2000)):
+            checkpoint = good.snapshot()
+            checkpoint["config"]["window_size"] = size
+            checkpoint["predictor"]["window_size"] = size
+            store.save(session_id, checkpoint)
+        store.close()
+        record = (tmp_path / "good.ckpt.json").read_text(encoding="utf-8")
+        (tmp_path / "torn.ckpt.json").write_text(
+            record[: len(record) // 2], encoding="utf-8"
+        )
+        (tmp_path / "stray.ckpt.json.tmp").write_text(
+            record, encoding="utf-8"
+        )
+
+        manager = SessionManager()
+        store = CheckpointStore(tmp_path)
+        try:
+            assert _adopt_shard_sessions(manager, store, 0, 1, {}) == 1
+        finally:
+            store.close()
+        assert manager.session_ids() == ("good",)
+        assert manager.get("good").snapshot() == good.snapshot()
+
+        server = ShardedServer(workers=1, checkpoint_dir=str(tmp_path))
+        port = server.start()
+        try:
+            client = _Client(port)
+            response = client.rpc(op="stats")
+            assert response["stats"]["sessions_active"] == 1, response
+            response = client.rpc(op="snapshot", session="good")
+            assert response["checkpoint"] == good.snapshot(), response
             client.close()
         finally:
             server.stop()

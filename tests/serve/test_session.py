@@ -1,5 +1,7 @@
 """PhaseSession: the online classify/observe/predict loop."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.predictors import PhasePredictor
@@ -42,6 +44,10 @@ class TestSessionConfig:
             governor="fixed_window", window_size=4, latency_budget_s=0.5
         )
         assert SessionConfig.from_payload(config.to_payload()) == config
+        # Field order is the wire order of a snapshot's config.
+        assert list(config.to_payload()) == [
+            field.name for field in fields(SessionConfig)
+        ]
 
     def test_from_payload_rejects_unknown_fields(self):
         with pytest.raises(ConfigurationError, match="unknown session config"):
