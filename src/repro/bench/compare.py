@@ -33,6 +33,7 @@ from repro.bench.schema import (
     validate_payload,
 )
 from repro.errors import ConfigurationError
+from repro.numerics import decode_object, read_text_file
 
 #: Default relative tolerance before a gated move counts as a regression.
 DEFAULT_TOLERANCE = 0.10
@@ -195,14 +196,10 @@ def load_results_dir(path: Path) -> Dict[str, Dict[str, Any]]:
     payloads: Dict[str, Dict[str, Any]] = {}
     for artifact_path in sorted(path.glob("*.json")):
         try:
-            raw = json.loads(artifact_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as error:
-            raise BenchFormatError(
-                f"{artifact_path}: not readable JSON: {error}"
-            ) from None
-        try:
+            text = read_text_file(artifact_path, "bench artifact")
+            raw = decode_object(text, "bench artifact")
             validate_payload(raw)
-        except BenchFormatError as error:
+        except (ConfigurationError, BenchFormatError) as error:
             raise BenchFormatError(f"{artifact_path}: {error}") from None
         if raw["name"] != artifact_path.stem:
             raise BenchFormatError(

@@ -24,14 +24,14 @@ compared.  Only current-schema artifacts are read: anything else fails
 from __future__ import annotations
 
 import json
-import math
 import os
 import platform
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Union
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.exec.spec import CODE_VERSION
+from repro.numerics import as_dict, as_float, as_int, as_str, shown
 
 #: Discriminator stored in every artifact's ``schema`` field.
 SCHEMA_NAME = "repro.bench.result"
@@ -68,9 +68,11 @@ class BenchFormatError(ReproError):
     """A benchmark artifact does not conform to the result schema."""
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise BenchFormatError(message)
+def _non_empty(value: object, label: str) -> str:
+    text = as_str(value, label)
+    if not text:
+        raise ConfigurationError(f"{label} must be a non-empty string")
+    return text
 
 
 @dataclass(frozen=True)
@@ -109,50 +111,41 @@ class HostProvenance:
         }
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "HostProvenance":
-        """Inverse of :meth:`to_dict`."""
-        _require(
-            isinstance(payload, Mapping), "host provenance must be a mapping"
-        )
-        for key in ("platform", "python_version", "code_version"):
-            _require(
-                isinstance(payload.get(key), str),
-                f"host.{key} must be a string",
-            )
-        cpu_count = payload.get("cpu_count")
-        _require(
-            isinstance(cpu_count, int)
-            and not isinstance(cpu_count, bool)
-            and cpu_count >= 0,
-            "host.cpu_count must be a non-negative integer",
-        )
+    def from_dict(cls, payload: object) -> "HostProvenance":
+        """Inverse of :meth:`to_dict`.
+
+        Raises:
+            ConfigurationError: On a field of the wrong type.
+        """
+        host = as_dict(payload, "host")
         return cls(
-            platform=str(payload["platform"]),
-            python_version=str(payload["python_version"]),
-            cpu_count=int(payload["cpu_count"]),
-            code_version=str(payload["code_version"]),
+            platform=as_str(host.get("platform"), "host.platform"),
+            python_version=as_str(
+                host.get("python_version"), "host.python_version"
+            ),
+            cpu_count=as_int(
+                host.get("cpu_count"), "host.cpu_count", minimum=0
+            ),
+            code_version=as_str(host.get("code_version"), "host.code_version"),
         )
 
 
 def _check_comparable_key(context: str, key: object) -> str:
-    _require(
-        isinstance(key, str) and bool(key),
-        f"{context} keys must be non-empty strings, got {key!r}",
-    )
-    lowered = str(key).lower()
+    name = _non_empty(key, f"{context} key")
+    lowered = name.lower()
     for fragment in FORBIDDEN_KEY_FRAGMENTS:
-        _require(
-            fragment not in lowered,
-            f"{context} key {key!r} looks like wall-clock state "
-            f"({fragment!r}); timestamps are banned from the comparable "
-            "payload",
+        if fragment in lowered:
+            raise ConfigurationError(
+                f"{context} key {shown(name)} looks like wall-clock state "
+                f"({fragment!r}); timestamps are banned from the comparable "
+                "payload"
+            )
+    if lowered.endswith(FORBIDDEN_KEY_SUFFIX):
+        raise ConfigurationError(
+            f"{context} key {shown(name)} looks like a rate "
+            f"({FORBIDDEN_KEY_SUFFIX!r}); timings belong in 'measured'"
         )
-    _require(
-        not lowered.endswith(FORBIDDEN_KEY_SUFFIX),
-        f"{context} key {key!r} looks like a rate "
-        f"({FORBIDDEN_KEY_SUFFIX!r}); timings belong in 'measured'",
-    )
-    return str(key)
+    return name
 
 
 def _check_details_keys(context: str, value: object) -> None:
@@ -167,32 +160,14 @@ def _check_details_keys(context: str, value: object) -> None:
             _check_details_keys(f"{context}[{index}]", item)
 
 
-def _check_metric_value(context: str, key: str, value: object) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise BenchFormatError(
-            f"{context}[{key!r}] must be a number, got "
-            f"{type(value).__name__}"
-        )
-    number = float(value)
-    _require(
-        math.isfinite(number),
-        f"{context}[{key!r}] must be finite, got {value!r}",
-    )
-    return number
-
-
-def _check_param_value(key: str, value: object) -> ParamValue:
-    if value is not None and not isinstance(value, (str, int, float, bool)):
-        raise BenchFormatError(
-            f"parameters[{key!r}] must be a JSON scalar, got "
-            f"{type(value).__name__}"
-        )
+def _check_param_value(key: str, value: object) -> None:
+    label = f"parameters[{shown(key)}]"
     if isinstance(value, float):
-        _require(
-            math.isfinite(value),
-            f"parameters[{key!r}] must be finite, got {value!r}",
+        as_float(value, label)
+    elif value is not None and not isinstance(value, (str, int, bool)):
+        raise ConfigurationError(
+            f"{label} must be a JSON scalar, got {shown(value)}"
         )
-    return value
 
 
 @dataclass(frozen=True)
@@ -307,44 +282,35 @@ def validate_payload(payload: Mapping[str, Any]) -> None:
     Raises :class:`BenchFormatError` with a message naming the first
     offending field.
     """
-    _require(
-        isinstance(payload, Mapping), "artifact payload must be a mapping"
-    )
-    _require(
-        payload.get("schema") == SCHEMA_NAME,
-        f"artifact schema must be {SCHEMA_NAME!r}, got "
-        f"{payload.get('schema')!r}",
-    )
-    version = payload.get("version")
-    _require(
-        isinstance(version, int)
-        and not isinstance(version, bool)
-        and version == SCHEMA_VERSION,
-        f"artifact version must be {SCHEMA_VERSION}, got {version!r}",
-    )
-    name = payload.get("name")
-    _require(
-        isinstance(name, str) and bool(name),
-        f"artifact name must be a non-empty string, got {name!r}",
-    )
-    parameters = payload.get("parameters", {})
-    _require(isinstance(parameters, Mapping), "parameters must be a mapping")
-    for key, value in parameters.items():
-        _check_param_value(_check_comparable_key("parameters", key), value)
-    metrics = payload.get("metrics", {})
-    _require(isinstance(metrics, Mapping), "metrics must be a mapping")
-    for key, value in metrics.items():
-        _check_metric_value(
-            "metrics", _check_comparable_key("metrics", key), value
-        )
-    measured = payload.get("measured", {})
-    _require(isinstance(measured, Mapping), "measured must be a mapping")
-    for key, value in measured.items():
-        _require(
-            isinstance(key, str) and bool(key),
-            f"measured keys must be non-empty strings, got {key!r}",
-        )
-        _check_metric_value("measured", str(key), value)
-    _check_details_keys("details", payload.get("details"))
-    _require("host" in payload, "artifact is missing host provenance")
-    HostProvenance.from_dict(payload["host"])
+    try:
+        artifact = as_dict(payload, "artifact payload")
+        schema = artifact.get("schema")
+        if schema != SCHEMA_NAME:
+            raise ConfigurationError(
+                f"artifact schema must be {SCHEMA_NAME!r}, got {shown(schema)}"
+            )
+        version = as_int(artifact.get("version"), "artifact version")
+        if version != SCHEMA_VERSION:
+            raise ConfigurationError(
+                f"artifact version must be {SCHEMA_VERSION}, got "
+                f"{shown(version)}"
+            )
+        _non_empty(artifact.get("name"), "artifact name")
+        parameters = as_dict(artifact.get("parameters", {}), "parameters")
+        for key, value in parameters.items():
+            _check_param_value(_check_comparable_key("parameters", key), value)
+        metrics = as_dict(artifact.get("metrics", {}), "metrics")
+        for key, value in metrics.items():
+            name = _check_comparable_key("metrics", key)
+            as_float(value, f"metrics[{shown(name)}]")
+        measured = as_dict(artifact.get("measured", {}), "measured")
+        for key, value in measured.items():
+            name = _non_empty(key, "measured key")
+            as_float(value, f"measured[{shown(name)}]")
+        _check_details_keys("details", artifact.get("details"))
+        if "host" not in artifact:
+            raise ConfigurationError("artifact is missing host provenance")
+        HostProvenance.from_dict(artifact["host"])
+    except (ConfigurationError, RecursionError) as error:
+        # RecursionError: _check_details_keys descends once per level.
+        raise BenchFormatError(str(error)) from None

@@ -61,11 +61,10 @@ from repro.exec.engine import CellCache, ExecutionEngine, make_engine
 from repro.exec.progress import StderrProgress
 from repro.exec.results import Provenance, SweepResult
 from repro.exec.spec import ExperimentSpec
-from repro.obs.events import TraceEvent
 from repro.obs.export import (
-    events_from_jsonl,
     events_to_csv,
     events_to_jsonl,
+    load_trace,
     summary_text,
 )
 from repro.obs.tracer import RingBufferTracer
@@ -582,15 +581,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0 if all(claim.holds for claim in claims) else 1
 
 
-def _read_trace_file(path: str) -> Tuple[TraceEvent, ...]:
-    """Load a JSONL trace, mapping I/O failures onto the CLI error path."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as error:
-        raise ConfigurationError(f"cannot read trace file: {error}") from None
-    return events_from_jsonl(text)
-
-
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     from repro.exec.cells import evaluate_cell
     from repro.obs.tracer import DEFAULT_CAPACITY
@@ -625,7 +615,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
 def _cmd_trace_summarize(args: argparse.Namespace) -> int:
     from repro.obs.export import summary_payload
 
-    events = _read_trace_file(args.file)
+    events = load_trace(args.file)
     if args.format == "json":
         print(json.dumps(summary_payload(events), indent=2))
     else:
@@ -634,7 +624,7 @@ def _cmd_trace_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_export(args: argparse.Namespace) -> int:
-    events = _read_trace_file(args.file)
+    events = load_trace(args.file)
     # Shared --format spelling: text renders CSV, json renders the
     # normalised JSONL stream.
     if args.format == "json":
@@ -796,7 +786,7 @@ def _cmd_serve_loadgen(args: argparse.Namespace) -> int:
 def _cmd_serve_replay(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.serve import SessionConfig, load_trace, replay_trace
+    from repro.serve import SessionConfig, replay_trace
 
     predictor_state: Optional[Dict[str, object]] = None
     if args.model:
@@ -819,7 +809,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             markov_alpha=args.markov_alpha,
         )
     report = replay_trace(
-        load_trace(Path(args.file)),
+        load_trace(args.file),
         config,
         snapshot_at=args.snapshot_at,
         predictor_state=predictor_state,
@@ -868,7 +858,7 @@ def _learn_source_series(args: argparse.Namespace) -> Tuple[List[float], Dict[st
     from repro.obs.events import IntervalSampled
 
     if args.trace:
-        events = _read_trace_file(args.trace)
+        events = load_trace(args.trace)
         series = [
             event.mem_per_uop
             for event in events
@@ -902,7 +892,7 @@ def _cmd_learn_train(args: argparse.Namespace) -> int:
     if args.model == "power":
         if args.trace:
             # Raises with the precise reason (traces carry no power).
-            power_dataset_from_events(_read_trace_file(args.trace))
+            power_dataset_from_events(load_trace(args.trace))
         dataset = power_dataset_from_benchmark(
             args.benchmark, args.intervals, seed=args.seed
         )
@@ -984,7 +974,7 @@ def _cmd_learn_eval(args: argparse.Namespace) -> int:
     model = build_model(artifact)
     if isinstance(model, LearnedPowerModel):
         if args.trace:
-            power_dataset_from_events(_read_trace_file(args.trace))
+            power_dataset_from_events(load_trace(args.trace))
         dataset = power_dataset_from_benchmark(
             args.benchmark, args.intervals, seed=args.seed
         )

@@ -12,14 +12,14 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.predictors.base import PredictorState
 from repro.errors import ConfigurationError
-from repro.numerics import as_int, as_list
+from repro.numerics import as_int, as_list, shown
 
 
 def check_kind(state: PredictorState, kind: str) -> None:
     """Reject payloads exported by a different predictor type."""
     if state.get("kind") != kind:
         raise ConfigurationError(
-            f"checkpoint kind {state.get('kind')!r} is not {kind!r}"
+            f"checkpoint kind {shown(state.get('kind'))} is not {kind!r}"
         )
 
 
@@ -30,7 +30,7 @@ def check_config(
     for key, expected in pairs:
         if state.get(key) != expected:
             raise ConfigurationError(
-                f"checkpoint {key}={state.get(key)!r} does not match "
+                f"checkpoint {key}={shown(state.get(key))} does not match "
                 f"this predictor's {key}={expected!r}"
             )
 

@@ -48,6 +48,7 @@ from repro.core.predictors import GPHTPredictor, PhasePredictor, paper_predictor
 from repro.cpu.frequency import SpeedStepTable
 from repro.errors import ConfigurationError
 from repro.exec.spec import ExperimentSpec, MachineConfig
+from repro.numerics import shown
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.system.metrics import ComparisonMetrics, RunResult
 from repro.workloads.segments import WorkloadTrace
@@ -222,7 +223,8 @@ def build_policy(name: str) -> DVFSPolicy:
     if name in ("energy", "edp", "ed2p"):
         return derive_objective_policy(name)
     raise ConfigurationError(
-        f"unknown policy {name!r}; known: table2, bounded, energy, edp, ed2p"
+        f"unknown policy {shown(name)}; known: table2, bounded, energy, "
+        "edp, ed2p"
     )
 
 

@@ -24,7 +24,15 @@ from typing import Dict, Union
 from repro.errors import ConfigurationError
 from repro.learn.power import LearnedPowerModel
 from repro.learn.predictors import DecisionTreePhasePredictor, MarkovKPredictor
-from repro.numerics import as_float, as_int, as_str
+from repro.numerics import (
+    as_dict,
+    as_float,
+    as_int,
+    as_str,
+    decode_object,
+    read_text_file,
+    shown,
+)
 
 #: Artifact format version.
 ARTIFACT_VERSION = 1
@@ -62,13 +70,13 @@ class ModelArtifact:
     def __post_init__(self) -> None:
         if self.version != ARTIFACT_VERSION:
             raise ConfigurationError(
-                f"unsupported artifact version {self.version!r} "
+                f"unsupported artifact version {shown(self.version)} "
                 f"(supported: {ARTIFACT_VERSION})"
             )
         if self.kind not in ARTIFACT_KINDS:
             raise ConfigurationError(
                 f"artifact kind must be one of {ARTIFACT_KINDS}, got "
-                f"{self.kind!r}"
+                f"{shown(self.kind)}"
             )
 
     def to_payload(self) -> Dict[str, object]:
@@ -104,45 +112,23 @@ class ModelArtifact:
     @classmethod
     def from_payload(cls, payload: object) -> "ModelArtifact":
         """Rebuild an artifact from a parsed JSON mapping."""
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"artifact payload must be a dict, got {payload!r}"
-            )
-        version = as_int(payload.get("version"), "artifact version")
-        kind = as_str(payload.get("kind"), "artifact kind")
-        name = as_str(payload.get("name"), "artifact name")
-        for field in ("config", "state", "training"):
-            if not isinstance(payload.get(field), dict):
-                raise ConfigurationError(
-                    f"artifact {field!r} must be a dict, got "
-                    f"{payload.get(field)!r}"
-                )
+        document = as_dict(payload, "artifact payload")
         return cls(
-            version=version,
-            kind=kind,
-            name=name,
-            config=dict(payload["config"]),  # type: ignore[call-overload]
-            state=dict(payload["state"]),  # type: ignore[call-overload]
-            training=dict(payload["training"]),  # type: ignore[call-overload]
+            version=as_int(document.get("version"), "artifact version"),
+            kind=as_str(document.get("kind"), "artifact kind"),
+            name=as_str(document.get("name"), "artifact name"),
+            config=dict(as_dict(document.get("config"), "artifact 'config'")),
+            state=dict(as_dict(document.get("state"), "artifact 'state'")),
+            training=dict(
+                as_dict(document.get("training"), "artifact 'training'")
+            ),
         )
 
     @classmethod
     def load(cls, path: Union[str, pathlib.Path]) -> "ModelArtifact":
         """Read and validate an artifact file."""
-        source = pathlib.Path(path)
-        try:
-            text = source.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read artifact {source}: {exc}"
-            ) from None
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"artifact {source} is not valid JSON: {exc}"
-            ) from None
-        return cls.from_payload(payload)
+        text = read_text_file(path, "artifact")
+        return cls.from_payload(decode_object(text, f"artifact {path}"))
 
 
 def _config_int(config: Dict[str, object], key: str) -> int:

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.numerics import as_float, as_int, as_list, as_str
+from repro.numerics import as_dict, as_float, as_int, as_list, as_str, shown
 
 #: Impurity-gain floor below which a split is considered pure noise.
 MIN_GAIN = 1e-12
@@ -71,7 +71,7 @@ class DecisionTree:
     ) -> None:
         if task not in TREE_TASKS:
             raise ConfigurationError(
-                f"task must be one of {TREE_TASKS}, got {task!r}"
+                f"task must be one of {TREE_TASKS}, got {shown(task)}"
             )
         if n_features < 1:
             raise ConfigurationError(
@@ -131,7 +131,7 @@ class DecisionTree:
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise ConfigurationError(
                         f"classification node {i} value must be an int, "
-                        f"got {v!r}"
+                        f"got {shown(v)}"
                     )
 
     # -- properties ---------------------------------------------------------
@@ -247,17 +247,15 @@ class DecisionTree:
     @classmethod
     def from_payload(cls, payload: object) -> "DecisionTree":
         """Rebuild a tree from :meth:`to_payload` (full validation)."""
-        if not isinstance(payload, dict):
+        document = as_dict(payload, "tree payload")
+        version = document.get("version")
+        if version != 1:
             raise ConfigurationError(
-                f"tree payload must be a dict, got {payload!r}"
+                f"unsupported tree payload version {shown(version)}"
             )
-        if payload.get("version") != 1:
-            raise ConfigurationError(
-                f"unsupported tree payload version {payload.get('version')!r}"
-            )
-        task = as_str(payload.get("task"), "tree task")
-        n_features = as_int(payload.get("n_features"), "tree n_features")
-        nodes = as_list(payload.get("nodes"), "tree 'nodes'")
+        task = as_str(document.get("task"), "tree task")
+        n_features = as_int(document.get("n_features"), "tree n_features")
+        nodes = as_list(document.get("nodes"), "tree 'nodes'")
         feature: List[int] = []
         threshold: List[float] = []
         left: List[int] = []

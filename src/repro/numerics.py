@@ -9,18 +9,26 @@ helpers are the sanctioned replacements, with one explicit absolute
 tolerance shared across the simulator so that determinism-sensitive
 guards behave identically everywhere.
 
-Every value that reaches a session from outside the process — a
-``hello`` config field, a ``restore`` checkpoint, the predictor or model
-state inside it, a wire request field — is narrowed by the ``as_*``
-primitives below.  Each returns the value as the type it names or raises
+Every payload that reaches the program from outside the process comes
+in through the functions below: a wire request line, a checkpoint record,
+a trace file, a workload trace, a model or bench artifact.
+:func:`read_text_file` reads an outside file and :func:`decode_object`
+decodes outside JSON text into one object; the ``as_*`` primitives then
+narrow each field — a ``hello`` config field, a ``restore`` checkpoint
+and the predictor or model state inside it, a trace event's fields.
+Each returns the value as the type it names or raises
 :class:`~repro.errors.ConfigurationError` naming ``label`` and the
-offending value, which the serving layer answers as ``bad_request``.
+offending value, cut by :func:`shown` to a bounded excerpt; the serving
+layer answers that error as ``bad_request`` and the CLI as one ``error:``
+line with exit status 2.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Dict, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
 
@@ -61,15 +69,75 @@ def finite_float(value: object) -> Optional[float]:
     return number if math.isfinite(number) else None
 
 
+#: Longest excerpt of an outside value that an error message repeats.
+SHOWN_CHARS = 64
+
+
+def shown(value: object) -> str:
+    """``repr(value)`` cut to :data:`SHOWN_CHARS`, its full length noted,
+    so a message naming an outside value stays short.  A value too deep
+    (or an int too long) to repr is named by its type."""
+    try:
+        text = repr(value)
+    except (RecursionError, ValueError):
+        return f"<{type(value).__name__} too large to show>"
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} chars)"
+
+
+def read_text_file(path: Union[str, Path], label: str) -> str:
+    """The text of an outside UTF-8 file.
+
+    A file that cannot be read (missing, a directory, no permission) or
+    is not UTF-8 raises ``ConfigurationError`` naming ``label`` and
+    ``path``.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as error:
+        reason = getattr(error, "strerror", None) or error
+        raise ConfigurationError(
+            f"cannot read {label} {path}: {reason}"
+        ) from None
+
+
+def decode_object(text: str, label: str) -> Dict[str, object]:
+    """Outside JSON text decoded as one object (see :func:`as_dict`).
+
+    Text that is not JSON, or JSON nested past the interpreter's
+    recursion limit (which ``json`` raises as ``RecursionError``),
+    raises ``ConfigurationError`` like any other bad input.
+    """
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as error:
+        raise ConfigurationError(
+            f"invalid {label}: not valid JSON: {error}"
+        ) from None
+    return as_dict(value, label)
+
+
+def as_dict(value: object, label: str) -> Dict[str, object]:
+    """``value`` as a JSON object.  Its values are not narrowed."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(
+            f"{label} must be a JSON object, got {shown(value)}"
+        )
+    return value
+
+
 def as_int(value: object, label: str, minimum: Optional[int] = None) -> int:
     """``value`` as an int, at least ``minimum`` when one is given.
 
     Booleans are not ints here: ``true`` is never a count or a phase id.
     """
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{label} must be an int, got {value!r}")
+        raise ConfigurationError(f"{label} must be an int, got {shown(value)}")
     if minimum is not None and value < minimum:
-        raise ConfigurationError(f"{label} must be >= {minimum}, got {value}")
+        raise ConfigurationError(
+            f"{label} must be >= {minimum}, got {shown(value)}"
+        )
     return value
 
 
@@ -85,7 +153,7 @@ def as_float(value: object, label: str) -> float:
     number = finite_float(value)
     if number is None:
         raise ConfigurationError(
-            f"{label} must be a finite number, got {value!r}"
+            f"{label} must be a finite number, got {shown(value)}"
         )
     return number
 
@@ -98,14 +166,14 @@ def as_opt_float(value: object, label: str) -> Optional[float]:
 def as_bool(value: object, label: str) -> bool:
     """``value`` as a bool; ``0`` and ``1`` are not bools."""
     if not isinstance(value, bool):
-        raise ConfigurationError(f"{label} must be a bool, got {value!r}")
+        raise ConfigurationError(f"{label} must be a bool, got {shown(value)}")
     return value
 
 
 def as_str(value: object, label: str) -> str:
     """``value`` as a string."""
     if not isinstance(value, str):
-        raise ConfigurationError(f"{label} must be a string, got {value!r}")
+        raise ConfigurationError(f"{label} must be a string, got {shown(value)}")
     return value
 
 
@@ -115,9 +183,9 @@ def as_list(
     """``value`` as a list or tuple, of exactly ``length`` items when
     ``length`` is given.  The items are not narrowed."""
     if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"{label} must be a list, got {value!r}")
+        raise ConfigurationError(f"{label} must be a list, got {shown(value)}")
     if length is not None and len(value) != length:
         raise ConfigurationError(
-            f"{label} must hold {length} items, got {value!r}"
+            f"{label} must hold {length} items, got {shown(value)}"
         )
     return value

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Tuple, Type, TypeVar, Union
+from typing import Callable, ClassVar, Dict, Mapping, Tuple, Type, TypeVar, Union
 
 from repro.errors import ConfigurationError
+from repro.numerics import as_bool, as_float, as_int, as_str, shown
 
 #: JSON-scalar payload value — every event field must be one of these.
 Scalar = Union[str, int, float, bool]
@@ -70,26 +71,45 @@ class TraceEvent:
         return payload
 
 
-def event_from_dict(payload: Dict[str, object]) -> TraceEvent:
-    """Re-hydrate a :meth:`TraceEvent.to_dict` payload into a typed event."""
-    try:
-        kind = payload["event"]
-    except KeyError:
-        raise ConfigurationError("trace event payload missing 'event' key") from None
-    cls = EVENT_TYPES.get(str(kind))
+#: The primitive that narrows an event field, by its declared type (the
+#: annotation's text: this module's annotations are not evaluated).
+_NARROW: Dict[str, Callable[[object, str], Scalar]] = {
+    "int": as_int,
+    "float": as_float,
+    "bool": as_bool,
+    "str": as_str,
+}
+
+
+def event_from_dict(payload: Mapping[str, object]) -> TraceEvent:
+    """Re-hydrate a :meth:`TraceEvent.to_dict` payload into a typed event.
+
+    The payload must carry exactly the event type's fields, each narrowed
+    by its declared type; anything else raises ``ConfigurationError``.
+    """
+    if "event" not in payload:
+        raise ConfigurationError("trace event payload missing 'event' key")
+    kind = payload["event"]
+    cls = EVENT_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ConfigurationError(f"unknown trace event type {kind!r}")
-    fields = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {str(k): v for k, v in payload.items() if k != "event"}
-    unexpected = set(kwargs) - fields
-    if unexpected:
+        raise ConfigurationError(f"unknown trace event type {shown(kind)}")
+    fields = dataclasses.fields(cls)
+    names = {field.name for field in fields}
+    unexpected = payload.keys() - names - {"event"}
+    missing = names - payload.keys()
+    if unexpected or missing:
         raise ConfigurationError(
-            f"unexpected fields for {kind!r}: {sorted(unexpected)}"
+            f"malformed {kind!r} event: unexpected fields "
+            f"{shown(sorted(unexpected))}, missing fields {sorted(missing)}"
         )
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(f"malformed {kind!r} event: {exc}") from None
+    return cls(
+        **{
+            field.name: _NARROW[str(field.type)](
+                payload[field.name], f"{kind} {field.name}"
+            )
+            for field in fields
+        }
+    )
 
 
 @register_event

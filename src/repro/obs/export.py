@@ -19,9 +19,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from pathlib import Path
+from typing import Any, Dict, Iterable, Sequence, Tuple, Union
 
-from repro.errors import ConfigurationError
+from repro.numerics import decode_object, read_text_file
 from repro.obs.events import TraceEvent, event_from_dict
 from repro.obs.metrics import trace_metrics
 
@@ -36,24 +37,27 @@ def events_to_jsonl(events: Iterable[TraceEvent]) -> str:
 
 
 def events_from_jsonl(text: str) -> Tuple[TraceEvent, ...]:
-    """Parse a JSONL trace back into typed events (exact round trip)."""
-    events: List[TraceEvent] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            payload = json.loads(stripped)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"line {lineno}: invalid JSON in trace: {exc}"
-            ) from None
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"line {lineno}: trace line must be a JSON object"
-            )
-        events.append(event_from_dict(payload))
-    return tuple(events)
+    """Parse a JSONL trace back into typed events (exact round trip).
+
+    Raises:
+        ConfigurationError: On a line that is not one JSON object or
+            not a well-typed event (see :func:`event_from_dict`).
+    """
+    return tuple(
+        event_from_dict(decode_object(line, f"trace line {lineno}"))
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    )
+
+
+def load_trace(path: Union[str, Path]) -> Tuple[TraceEvent, ...]:
+    """Read a JSONL trace file into typed events.
+
+    Raises:
+        ConfigurationError: When the file cannot be read, is not UTF-8
+            or is malformed.
+    """
+    return events_from_jsonl(read_text_file(path, "trace file"))
 
 
 def trace_columns(events: Sequence[TraceEvent]) -> Tuple[str, ...]:

@@ -31,7 +31,14 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 from urllib.parse import quote, unquote
 
 from repro.errors import ConfigurationError
-from repro.numerics import as_int
+from repro.numerics import (
+    as_dict,
+    as_int,
+    as_str,
+    decode_object,
+    read_text_file,
+    shown,
+)
 
 #: Current checkpoint format version.  Bump on any incompatible change
 #: to the payload layout.
@@ -56,10 +63,7 @@ def validate_checkpoint(payload: Checkpoint) -> None:
         ConfigurationError: On a non-dict payload, a missing field or an
             unsupported version.
     """
-    if not isinstance(payload, dict):
-        raise ConfigurationError(
-            f"checkpoint must be a JSON object, got {type(payload).__name__}"
-        )
+    as_dict(payload, "checkpoint")
     missing = [key for key in _REQUIRED_FIELDS if key not in payload]
     if missing:
         raise ConfigurationError(
@@ -68,13 +72,11 @@ def validate_checkpoint(payload: Checkpoint) -> None:
     version = payload["version"]
     if version != CHECKPOINT_VERSION:
         raise ConfigurationError(
-            f"unsupported checkpoint version {version!r}; this server "
+            f"unsupported checkpoint version {shown(version)}; this server "
             f"reads version {CHECKPOINT_VERSION}"
         )
-    if not isinstance(payload["config"], dict):
-        raise ConfigurationError("checkpoint 'config' must be an object")
-    if not isinstance(payload["predictor"], dict):
-        raise ConfigurationError("checkpoint 'predictor' must be an object")
+    as_dict(payload["config"], "checkpoint 'config'")
+    as_dict(payload["predictor"], "checkpoint 'predictor'")
     as_int(payload["samples"], "checkpoint 'samples'", minimum=0)
 
 
@@ -91,12 +93,7 @@ def checkpoint_from_json(text: str) -> Checkpoint:
     Raises:
         ConfigurationError: On invalid JSON or an invalid payload.
     """
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise ConfigurationError(f"invalid checkpoint JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ConfigurationError("checkpoint must be a JSON object")
+    payload = decode_object(text, "checkpoint")
     validate_checkpoint(payload)
     return payload
 
@@ -248,23 +245,22 @@ class CheckpointStore:
                 entries use :meth:`load_all`.
         """
         path = self._path_for(session_id)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
+        if not path.exists():
             return None
-        return self._parse(text)
+        return self._parse(path)
 
     def load_all(self) -> List[StoredCheckpoint]:
         """Every stored checkpoint, sorted by session id.
 
         Corrupt files are skipped (best-effort recovery must not be
-        blocked by one damaged entry).
+        blocked by one damaged entry): torn, not UTF-8, not JSON, or
+        nested too deep to decode.
         """
         stored: List[StoredCheckpoint] = []
         for path in sorted(self._root.glob("*" + _STORE_SUFFIX)):
             try:
-                stored.append(self._parse(path.read_text(encoding="utf-8")))
-            except (OSError, ConfigurationError):
+                stored.append(self._parse(path))
+            except ConfigurationError:
                 continue
         stored.sort(key=lambda record: record.session)
         return stored
@@ -279,32 +275,19 @@ class CheckpointStore:
         )
 
     @staticmethod
-    def _parse(text: str) -> StoredCheckpoint:
-        """Parse one record file.
+    def _parse(path: Path) -> StoredCheckpoint:
+        """Read and parse one record file.
 
         Only ``session`` and ``checkpoint`` are read; other keys, such as
         the ``protocol`` that records from older builds carry, are
-        ignored.
+        ignored.  An empty session id is refused where the record is
+        restored (:meth:`~repro.serve.manager.SessionManager.restore_as`).
         """
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"corrupt checkpoint store entry: {exc}"
-            ) from None
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                "corrupt checkpoint store entry: not an object"
-            )
-        session = payload.get("session")
-        if not isinstance(session, str) or not session:
-            raise ConfigurationError(
-                "corrupt checkpoint store entry: missing session id"
-            )
-        checkpoint = payload.get("checkpoint")
-        if not isinstance(checkpoint, dict):
-            raise ConfigurationError(
-                "corrupt checkpoint store entry: missing checkpoint"
-            )
+        label = "checkpoint store entry"
+        payload = decode_object(read_text_file(path, label), label)
+        session = as_str(payload.get("session"), f"{label} 'session'")
+        checkpoint = as_dict(
+            payload.get("checkpoint"), f"{label} 'checkpoint'"
+        )
         validate_checkpoint(checkpoint)
         return StoredCheckpoint(session, checkpoint)

@@ -27,6 +27,7 @@ import re
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
+from repro.numerics import shown
 from repro.obs.events import SessionClosed, SessionOpened, SessionRestored
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -331,8 +332,8 @@ class SessionManager:
         entry = self._sessions.get(session_id)
         if entry is None:
             raise UnknownSessionError(
-                f"unknown session {session_id!r} (closed, evicted or never "
-                "opened)"
+                f"unknown session {shown(session_id)} (closed, evicted or "
+                "never opened)"
             )
         now = self.now()
         entry.last_used = now
@@ -348,7 +349,7 @@ class SessionManager:
         """
         entry = self._sessions.pop(session_id, None)
         if entry is None:
-            raise UnknownSessionError(f"unknown session {session_id!r}")
+            raise UnknownSessionError(f"unknown session {shown(session_id)}")
         if (
             self._checkpoint_store is not None
             and reason != MIGRATED_CLOSE_REASON

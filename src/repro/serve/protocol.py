@@ -70,7 +70,15 @@ from itertools import repeat
 from typing import Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
-from repro.numerics import as_float, as_int, as_str, finite_float
+from repro.numerics import (
+    as_dict,
+    as_float,
+    as_int,
+    as_str,
+    decode_object,
+    finite_float,
+    shown,
+)
 from repro.serve.manager import (
     OverloadedError,
     SessionManager,
@@ -216,7 +224,7 @@ def _dispatch(
     handler = _OPS.get(op)
     if handler is None:
         raise _ProtocolError(
-            "bad_request", f"unknown op {op!r}; known: {sorted(_OPS)}"
+            "bad_request", f"unknown op {shown(op)}; known: {sorted(_OPS)}"
         )
     return handler(manager, payload)
 
@@ -232,7 +240,7 @@ def _op_hello(
     ):
         raise _ProtocolError(
             "unsupported_protocol",
-            f"protocol {version!r} is not supported; this server speaks "
+            f"protocol {shown(version)} is not supported; this server speaks "
             f"versions {SUPPORTED_PROTOCOLS}",
         )
     # Every other field is session config; from_payload rejects
@@ -294,7 +302,8 @@ def _parse_batch_sample(element: object, index: int) -> Tuple[float, float]:
         raise _ProtocolError(
             "bad_request",
             f"batch sample {index} must be a finite number or a "
-            f"[mem_per_uop, upc] pair of finite numbers, got {element!r}",
+            f"[mem_per_uop, upc] pair of finite numbers, got "
+            f"{shown(element)}",
         )
     return mem, upc
 
@@ -370,17 +379,13 @@ def _op_snapshot(
 def _op_restore(
     manager: SessionManager, payload: Mapping[str, object]
 ) -> Payload:
-    checkpoint = _require(payload, "checkpoint")
-    if not isinstance(checkpoint, dict):
-        raise _ProtocolError(
-            "bad_request", "field 'checkpoint' must be an object"
-        )
+    checkpoint = as_dict(_require(payload, "checkpoint"), "checkpoint")
     if "session" in payload:
         session_id = _require_str(payload, "session")
         if _SESSION_ID_RE.match(session_id) is None:
             raise _ProtocolError(
                 "bad_request",
-                f"invalid session id {session_id!r}: expected 1-64 "
+                f"invalid session id {shown(session_id)}: expected 1-64 "
                 "characters from [A-Za-z0-9_.-], starting alphanumeric",
             )
         session = manager.restore_as(session_id, checkpoint)
@@ -440,21 +445,17 @@ def handle_line(manager: SessionManager, line: str) -> str:
     """Parse one request line, dispatch it, serialize the response.
 
     Transport-agnostic: both the stdio and the TCP frontend feed raw
-    lines through here.  Malformed JSON never kills the connection — it
-    answers a ``bad_request`` error like any other failure.
+    lines through here.  A line that is not one JSON object — malformed,
+    nested too deep to decode, or another JSON value — never kills the
+    connection: it answers a ``bad_request`` error like any other
+    failure.
     """
     try:
-        payload = json.loads(line)
-    except ValueError as exc:
+        payload = decode_object(line, "request")
+    except ConfigurationError as error:
         manager.tick()
         manager.metrics.counter("serve.errors").inc()
-        return _serialize(_error("bad_request", f"invalid JSON: {exc}"))
-    if not isinstance(payload, dict):
-        manager.tick()
-        manager.metrics.counter("serve.errors").inc()
-        return _serialize(
-            _error("bad_request", "request must be a JSON object")
-        )
+        return _serialize(_error("bad_request", str(error)))
     return _serialize(handle_request(manager, payload))
 
 

@@ -18,13 +18,12 @@ generated ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.accuracy import evaluate_predictor
 from repro.errors import ConfigurationError
 from repro.obs.events import IntervalSampled, PhaseClassified, TraceEvent
-from repro.obs.export import events_from_jsonl
+from repro.obs.export import load_trace as load_trace  # re-exported
 from repro.serve.checkpoint import checkpoint_from_json, checkpoint_to_json
 from repro.serve.session import PhaseSession, SessionConfig
 
@@ -103,22 +102,6 @@ class ReplayReport:
             "mismatch_index": self.mismatch_index,
             "trace_phases_match": self.trace_phases_match,
         }
-
-
-def load_trace(path: Path) -> Tuple[TraceEvent, ...]:
-    """Read a ``repro.obs`` JSONL trace file into typed events.
-
-    Raises:
-        ConfigurationError: When the file is missing or malformed.
-    """
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as error:
-        # UnicodeDecodeError is a ValueError, not an OSError — without
-        # this clause a binary/corrupt trace file escaped as a raw stack
-        # trace instead of the CLI's one-line error.
-        raise ConfigurationError(f"cannot read trace {path}: {error}") from None
-    return events_from_jsonl(text)
 
 
 def extract_samples(events: Sequence[TraceEvent]) -> Tuple[ReplaySample, ...]:

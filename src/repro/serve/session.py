@@ -57,6 +57,7 @@ from repro.numerics import (
     as_opt_float,
     as_opt_int,
     as_str,
+    shown,
 )
 from repro.obs.events import SessionDegraded
 from repro.obs.metrics import MetricsRegistry
@@ -165,7 +166,7 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.governor not in SESSION_GOVERNORS:
             raise ConfigurationError(
-                f"unknown session governor {self.governor!r}; "
+                f"unknown session governor {shown(self.governor)}; "
                 f"known: {SESSION_GOVERNORS}"
             )
         for field_name, value, limit in (
@@ -236,7 +237,7 @@ class SessionConfig:
         unknown = payload.keys() - _CONFIG_FIELDS.keys()
         if unknown:
             raise ConfigurationError(
-                f"unknown session config fields: {sorted(unknown)}"
+                f"unknown session config fields: {shown(sorted(unknown))}"
             )
         return cls(**kwargs)  # type: ignore[arg-type]
 

@@ -52,7 +52,6 @@ workers are mid-restart.
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
 import multiprocessing.connection
 import multiprocessing.process
@@ -65,6 +64,7 @@ import zlib
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import ConfigurationError, ReproError
+from repro.numerics import as_opt_int, as_str, decode_object, shown
 from repro.obs.events import SessionMigrated, WorkerDied, WorkerRestarted
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -745,14 +745,10 @@ class ShardedServer:
             if match is not None:
                 return await self._forward_session(match.group(1), line, links)
         try:
-            payload = json.loads(line)
-        except ValueError as exc:
+            payload = decode_object(line, "request")
+        except ConfigurationError as error:
             return serialize_response(
-                error_response("bad_request", f"invalid JSON: {exc}")
-            )
-        if not isinstance(payload, dict):
-            return serialize_response(
-                error_response("bad_request", "request must be a JSON object")
+                error_response("bad_request", str(error))
             )
         op = payload.get("op")
         if op == "stats" and "session" not in payload:
@@ -1017,37 +1013,27 @@ class ShardedServer:
         being deleted.  On any failure before the restore succeeds the
         session keeps serving from the source untouched.
         """
-        session = payload.get("session")
-        if not isinstance(session, str) or not session:
-            return serialize_response(
-                error_response(
-                    "bad_request", "migrate requires a string 'session' field"
+        try:
+            unexpected = payload.keys() - {"op", "session", "worker"}
+            if unexpected:
+                raise ConfigurationError(
+                    f"unknown migrate fields: {shown(sorted(unexpected))}"
                 )
+            session = as_str(payload.get("session"), "migrate 'session'")
+            explicit = as_opt_int(
+                payload.get("worker"), "migrate 'worker'", minimum=0
             )
-        unexpected = set(payload) - {"op", "session", "worker"}
-        if unexpected:
-            return serialize_response(
-                error_response(
-                    "bad_request",
-                    f"unknown migrate fields: {sorted(unexpected)}",
-                )
-            )
-        explicit: Optional[int] = None
-        if "worker" in payload:
-            worker_field = payload["worker"]
-            if (
-                isinstance(worker_field, bool)
-                or not isinstance(worker_field, int)
-                or not 0 <= worker_field < self._workers
+            if not session or (
+                explicit is not None and explicit >= self._workers
             ):
-                return serialize_response(
-                    error_response(
-                        "bad_request",
-                        "field 'worker' must be an integer in "
-                        f"[0, {self._workers})",
-                    )
+                raise ConfigurationError(
+                    "migrate needs a non-empty 'session' and a 'worker' "
+                    f"below {self._workers}"
                 )
-            explicit = worker_field
+        except ConfigurationError as error:
+            return serialize_response(
+                error_response("bad_request", str(error))
+            )
         # Serialize with any in-progress migration of the same session,
         # then gate new traffic and drain what is already in flight.
         while session in self._migrating:

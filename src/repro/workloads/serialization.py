@@ -13,6 +13,7 @@ import json
 from typing import Any, Dict
 
 from repro.errors import ConfigurationError
+from repro.numerics import as_float, as_int, as_list, decode_object, shown
 from repro.workloads.segments import SegmentSpec, WorkloadTrace
 
 #: Schema version written into every document.
@@ -60,35 +61,36 @@ def trace_from_dict(document: Dict[str, Any]) -> WorkloadTrace:
     version = document.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigurationError(
-            f"unsupported trace schema version {version!r} "
+            f"unsupported trace schema version {shown(version)} "
             f"(expected {SCHEMA_VERSION})"
         )
     fields = document.get("fields")
     if fields != list(_FIELDS):
         raise ConfigurationError(
-            f"unexpected field layout {fields!r}; expected {list(_FIELDS)}"
+            f"unexpected field layout {shown(fields)}; expected "
+            f"{list(_FIELDS)}"
         )
     name = document.get("name")
     if not isinstance(name, str) or not name:
-        raise ConfigurationError(f"invalid trace name {name!r}")
+        raise ConfigurationError(f"invalid trace name {shown(name)}")
     rows = document.get("segments")
     if not isinstance(rows, list) or not rows:
         raise ConfigurationError("trace document has no segments")
     segments = []
-    for row in rows:
-        if len(row) != len(_FIELDS):
-            raise ConfigurationError(
-                f"segment row {row!r} has {len(row)} fields, expected "
-                f"{len(_FIELDS)}"
-            )
-        uops, mem, upc, upi, overlap = row
+    for index, row in enumerate(rows):
+        label = f"segment {index}"
+        uops, mem, upc, upi, overlap = as_list(
+            row, f"{label} fields", len(_FIELDS)
+        )
         segments.append(
             SegmentSpec(
-                uops=int(uops),
-                mem_per_uop=float(mem),
-                upc_core=float(upc),
-                uops_per_instruction=float(upi),
-                mem_overlap=float(overlap),
+                uops=as_int(uops, f"{label} uops", minimum=1),
+                mem_per_uop=as_float(mem, f"{label} mem_per_uop"),
+                upc_core=as_float(upc, f"{label} upc_core"),
+                uops_per_instruction=as_float(
+                    upi, f"{label} uops_per_instruction"
+                ),
+                mem_overlap=as_float(overlap, f"{label} mem_overlap"),
             )
         )
     return WorkloadTrace(name, segments)
@@ -106,10 +108,4 @@ def trace_from_json(text: str) -> WorkloadTrace:
         ConfigurationError: If the text is not valid JSON or does not
             match the schema.
     """
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ConfigurationError(f"invalid trace JSON: {error}") from error
-    if not isinstance(document, dict):
-        raise ConfigurationError("trace JSON must be an object")
-    return trace_from_dict(document)
+    return trace_from_dict(decode_object(text, "trace JSON"))
