@@ -28,7 +28,6 @@ import pathlib
 import pytest
 
 from repro.bench import BenchResult
-from repro.system.machine import Machine
 
 
 def results_dir() -> pathlib.Path:
@@ -37,12 +36,6 @@ def results_dir() -> pathlib.Path:
     if override:
         return pathlib.Path(override)
     return pathlib.Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session")
-def machine():
-    """One calibrated platform shared by all benches."""
-    return Machine()
 
 
 @pytest.fixture(scope="session")

@@ -12,38 +12,31 @@ dilute slightly under jitter.
 """
 
 from benchmarks.conftest import run_once
-from repro.analysis.accuracy import evaluate_suite
 from repro.analysis.reporting import format_table
-from repro.core.predictors import GPHTPredictor, LastValuePredictor
-from repro.workloads.spec2000 import VARIABLE_BENCHMARKS, benchmark
+from repro.analysis.sweeps import sweep_predictors
+from repro.workloads.spec2000 import VARIABLE_BENCHMARKS
 
 N_INTERVALS = 1000
 DEPTHS = (1, 2, 4, 8, 12, 16)
 
+COLUMNS = ["LastValue"] + [f"GPHT_{d}_1024" for d in DEPTHS]
+
 
 def run_sweep():
-    factories = [LastValuePredictor] + [
-        (lambda d=d: GPHTPredictor(d, 1024)) for d in DEPTHS
-    ]
-    series = {
-        name: benchmark(name).mem_series(N_INTERVALS)
-        for name in VARIABLE_BENCHMARKS
-    }
-    return evaluate_suite(factories, series)
+    return sweep_predictors(VARIABLE_BENCHMARKS, COLUMNS, N_INTERVALS)
 
 
 def test_ablation_gphr_depth(benchmark, report):
-    results = run_once(benchmark, run_sweep)
+    accuracy = run_once(benchmark, run_sweep).to_dict()
 
-    columns = ["LastValue"] + [f"GPHT_{d}_1024" for d in DEPTHS]
     rows = [
-        [name] + [round(results[name][c].accuracy * 100, 1) for c in columns]
+        [name] + [round(accuracy[name][c] * 100, 1) for c in COLUMNS]
         for name in VARIABLE_BENCHMARKS
     ]
     report(
         "ablation_gphr_depth",
         format_table(
-            ["benchmark"] + columns,
+            ["benchmark"] + COLUMNS,
             rows,
             title="Ablation: GPHT accuracy (%) vs GPHR depth (PHT=1024).",
         ),
@@ -53,16 +46,16 @@ def test_ablation_gphr_depth(benchmark, report):
         },
         metrics={
             f"{column}_mean_accuracy": sum(
-                results[name][column].accuracy
-                for name in VARIABLE_BENCHMARKS
+                accuracy[name][column] for name in VARIABLE_BENCHMARKS
             )
             / len(VARIABLE_BENCHMARKS)
-            for column in columns
+            for column in COLUMNS
         },
+        details={"accuracy": accuracy},
     )
 
     for name in VARIABLE_BENCHMARKS:
-        acc = {c: results[name][c].accuracy for c in columns}
+        acc = accuracy[name]
 
         # Deep history dominates shallow history on pattern-rich apps.
         assert acc["GPHT_8_1024"] >= acc["GPHT_1_1024"] - 0.02, name
@@ -73,5 +66,5 @@ def test_ablation_gphr_depth(benchmark, report):
 
     # On the most rapidly varying benchmarks the depth effect is large.
     for name in ("applu_in", "equake_in"):
-        acc = {c: results[name][c].accuracy for c in columns}
+        acc = accuracy[name]
         assert acc["GPHT_8_1024"] > acc["GPHT_1_1024"] + 0.05, name

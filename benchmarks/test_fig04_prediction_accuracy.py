@@ -8,30 +8,11 @@ figure's structure.
 """
 
 from benchmarks.conftest import run_once
-from repro.analysis.accuracy import evaluate_suite
 from repro.analysis.reporting import format_table
-from repro.core.predictors import (
-    FixedWindowPredictor,
-    GPHTPredictor,
-    LastValuePredictor,
-    VariableWindowPredictor,
-)
-from repro.workloads.spec2000 import (
-    FIG4_BENCHMARK_ORDER,
-    VARIABLE_BENCHMARKS,
-    benchmark,
-)
+from repro.analysis.sweeps import sweep_predictors
+from repro.workloads.spec2000 import FIG4_BENCHMARK_ORDER, VARIABLE_BENCHMARKS
 
 N_INTERVALS = 1000
-
-PREDICTOR_FACTORIES = [
-    LastValuePredictor,
-    lambda: FixedWindowPredictor(8),
-    lambda: FixedWindowPredictor(128),
-    lambda: VariableWindowPredictor(128, 0.005),
-    lambda: VariableWindowPredictor(128, 0.030),
-    lambda: GPHTPredictor(8, 1024),
-]
 
 COLUMNS = [
     "LastValue",
@@ -44,27 +25,16 @@ COLUMNS = [
 
 
 def run_matrix():
-    series = {
-        name: benchmark(name).mem_series(N_INTERVALS)
-        for name in FIG4_BENCHMARK_ORDER
-    }
-    return evaluate_suite(PREDICTOR_FACTORIES, series)
+    return sweep_predictors(FIG4_BENCHMARK_ORDER, COLUMNS, N_INTERVALS)
 
 
 def test_fig04_prediction_accuracy(benchmark, report):
-    results = run_once(benchmark, run_matrix)
+    accuracy = run_once(benchmark, run_matrix).to_dict()
 
-    rows = []
-    for name in FIG4_BENCHMARK_ORDER:
-        per = results[name]
-        rows.append(
-            [name]
-            + [round(per[column].accuracy * 100, 1) for column in COLUMNS]
-        )
-    accuracy = {
-        name: {column: results[name][column].accuracy for column in COLUMNS}
+    rows = [
+        [name] + [round(accuracy[name][column] * 100, 1) for column in COLUMNS]
         for name in FIG4_BENCHMARK_ORDER
-    }
+    ]
     metrics = {
         f"{column}_mean_accuracy": sum(
             accuracy[name][column] for name in FIG4_BENCHMARK_ORDER
@@ -96,11 +66,7 @@ def test_fig04_prediction_accuracy(benchmark, report):
             "n_benchmarks": len(FIG4_BENCHMARK_ORDER),
         },
         metrics=metrics,
-        details={
-            "accuracy": {
-                name: accuracy[name] for name in FIG4_BENCHMARK_ORDER
-            }
-        },
+        details={"accuracy": accuracy},
     )
 
     # Stable benchmarks: 'almost all approaches perform very well,

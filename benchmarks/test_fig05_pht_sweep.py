@@ -8,43 +8,32 @@ and a single entry converges to last-value behaviour.
 """
 
 from benchmarks.conftest import run_once
-from repro.analysis.accuracy import evaluate_suite
 from repro.analysis.reporting import format_table
-from repro.core.predictors import GPHTPredictor, LastValuePredictor
-from repro.workloads.spec2000 import FIG5_BENCHMARKS, benchmark
+from repro.analysis.sweeps import sweep_predictors
+from repro.workloads.spec2000 import FIG5_BENCHMARKS
 
 N_INTERVALS = 1000
 
 PHT_SIZES = (1024, 128, 64, 1)
 
+COLUMNS = ["LastValue"] + [f"GPHT_8_{n}" for n in PHT_SIZES]
+
 
 def run_sweep():
-    factories = [LastValuePredictor] + [
-        (lambda n=n: GPHTPredictor(8, n)) for n in PHT_SIZES
-    ]
-    series = {
-        name: benchmark(name).mem_series(N_INTERVALS)
-        for name in FIG5_BENCHMARKS
-    }
-    return evaluate_suite(factories, series)
+    return sweep_predictors(FIG5_BENCHMARKS, COLUMNS, N_INTERVALS)
 
 
 def test_fig05_pht_sweep(benchmark, report):
-    results = run_once(benchmark, run_sweep)
+    accuracy = run_once(benchmark, run_sweep).to_dict()
 
-    columns = ["LastValue"] + [f"GPHT_8_{n}" for n in PHT_SIZES]
-    accuracy = {
-        name: {column: results[name][column].accuracy for column in columns}
-        for name in FIG5_BENCHMARKS
-    }
     rows = [
-        [name] + [round(accuracy[name][c] * 100, 1) for c in columns]
+        [name] + [round(accuracy[name][c] * 100, 1) for c in COLUMNS]
         for name in FIG5_BENCHMARKS
     ]
     report(
         "fig05_pht_sweep",
         format_table(
-            ["benchmark"] + columns,
+            ["benchmark"] + COLUMNS,
             rows,
             title=(
                 "Figure 5. GPHT prediction accuracy (%) for different "
@@ -60,7 +49,7 @@ def test_fig05_pht_sweep(benchmark, report):
                 accuracy[name][column] for name in FIG5_BENCHMARKS
             )
             / len(FIG5_BENCHMARKS)
-            for column in columns
+            for column in COLUMNS
         },
         details={"accuracy": accuracy},
     )

@@ -3,14 +3,13 @@ results: normalised BIPS, power and EDP for all 33 benchmarks.
 
 Runs every benchmark under the GPHT(8, 128) governor against the 1.5 GHz
 baseline and regenerates the figure's three bar charts as a table,
-asserting the paper's aggregate observations.
+asserting the paper's aggregate observations.  The suite runs on the
+:mod:`repro.exec` engine (:func:`run_comparison_suite`).
 """
 
 from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_percent, format_table
-from repro.core.governor import PhasePredictionGovernor
-from repro.core.predictors import GPHTPredictor
-from repro.system.experiment import run_suite
+from repro.system.experiment import run_comparison_suite
 from repro.system.metrics import mean
 from repro.workloads.spec2000 import FIG4_BENCHMARK_ORDER
 
@@ -26,32 +25,39 @@ NO_POTENTIAL = {
 }
 
 
-def run_all(machine):
-    return run_suite(
+def run_all():
+    return run_comparison_suite(
         FIG4_BENCHMARK_ORDER,
-        lambda: PhasePredictionGovernor(GPHTPredictor(8, 128)),
-        machine,
+        governor="gpht",
+        policy="table2",
         n_intervals=N_INTERVALS,
     )
 
 
-def test_fig11_dvfs_results(benchmark, report, machine):
-    results = run_once(benchmark, lambda: run_all(machine))
+def normalized(cell, quantity):
+    """The managed run's ``quantity`` as a fraction of the baseline's."""
+    return cell.float_metric(f"managed_{quantity}") / cell.float_metric(
+        f"baseline_{quantity}"
+    )
 
-    comparisons = {
-        name: results[name].comparison for name in FIG4_BENCHMARK_ORDER
+
+def test_fig11_dvfs_results(benchmark, report):
+    suite = run_once(benchmark, run_all)
+
+    comparisons = {name: suite.cell(name) for name in FIG4_BENCHMARK_ORDER}
+    normalized_edp = {
+        name: comparisons[name].float_metric("normalized_edp")
+        for name in FIG4_BENCHMARK_ORDER
     }
     ordered = sorted(
-        FIG4_BENCHMARK_ORDER,
-        key=lambda n: comparisons[n].normalized_edp,
-        reverse=True,
+        FIG4_BENCHMARK_ORDER, key=normalized_edp.__getitem__, reverse=True
     )
     rows = [
         (
             name,
-            format_percent(comparisons[name].normalized_bips),
-            format_percent(comparisons[name].normalized_power),
-            format_percent(comparisons[name].normalized_edp),
+            format_percent(normalized(comparisons[name], "bips")),
+            format_percent(normalized(comparisons[name], "power_w")),
+            format_percent(normalized_edp[name]),
         )
         for name in ordered
     ]
@@ -89,9 +95,7 @@ def test_fig11_dvfs_results(benchmark, report, machine):
             ].edp_improvement,
         },
         details={
-            "normalized_edp": {
-                name: comparisons[name].normalized_edp for name in ordered
-            }
+            "normalized_edp": {name: normalized_edp[name] for name in ordered}
         },
     )
 
@@ -114,8 +118,8 @@ def test_fig11_dvfs_results(benchmark, report, machine):
 
     # Q1 benchmarks sit near the baseline on every axis.
     for name in ("crafty_in", "eon_cook", "mesa_ref"):
-        assert comparisons[name].normalized_edp > 0.97, name
-        assert comparisons[name].normalized_bips > 0.99, name
+        assert normalized_edp[name] > 0.97, name
+        assert normalized(comparisons[name], "bips") > 0.99, name
 
     # Paper averages over benchmarks with savings potential: 18% EDP
     # improvement with 4% performance degradation.  Same shape here.

@@ -6,52 +6,38 @@ execution points across the behaviour space (Section 6.3) — runs the
 five benchmarks that originally exceeded 5% degradation, and asserts the
 figure's results: every degradation below the target, and EDP
 improvements reduced by more than 2X relative to the aggressive table.
+Both suites run on the :mod:`repro.exec` engine
+(:func:`run_comparison_suite`, policies ``bounded`` and ``table2``).
 """
 
 from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_percent, format_table
-from repro.analysis.witnesses import spec_phase_witnesses
-from repro.core.dvfs_policy import DVFSPolicy, derive_bounded_policy
-from repro.core.governor import PhasePredictionGovernor
-from repro.core.predictors import GPHTPredictor
-from repro.system.experiment import run_suite
+from repro.exec.cells import BOUNDED_DEGRADATION_TARGET, build_policy
+from repro.system.experiment import run_comparison_suite
 from repro.workloads.spec2000 import FIG13_BENCHMARKS
 
 N_INTERVALS = 300
-TARGET = 0.05
 
 
-def run_policies(machine):
-    bounded_policy = derive_bounded_policy(
-        TARGET, witnesses_by_phase=spec_phase_witnesses()
+def run_policies():
+    return tuple(
+        run_comparison_suite(
+            FIG13_BENCHMARKS,
+            governor="gpht",
+            policy=policy,
+            n_intervals=N_INTERVALS,
+        )
+        for policy in ("bounded", "table2")
     )
-    bounded = run_suite(
-        FIG13_BENCHMARKS,
-        lambda: PhasePredictionGovernor(
-            GPHTPredictor(8, 128), bounded_policy
-        ),
-        machine,
-        n_intervals=N_INTERVALS,
-    )
-    aggressive = run_suite(
-        FIG13_BENCHMARKS,
-        lambda: PhasePredictionGovernor(
-            GPHTPredictor(8, 128), DVFSPolicy.paper_default()
-        ),
-        machine,
-        n_intervals=N_INTERVALS,
-    )
-    return bounded_policy, bounded, aggressive
 
 
-def test_fig13_bounded_degradation(benchmark, report, machine):
-    policy, bounded, aggressive = run_once(
-        benchmark, lambda: run_policies(machine)
-    )
+def test_fig13_bounded_degradation(benchmark, report):
+    bounded, aggressive = run_once(benchmark, run_policies)
+    policy = build_policy("bounded")
 
     rows = []
     for name in FIG13_BENCHMARKS:
-        b = bounded[name].comparison
+        b = bounded.cell(name)
         rows.append(
             (
                 name,
@@ -59,9 +45,7 @@ def test_fig13_bounded_degradation(benchmark, report, machine):
                 format_percent(b.power_savings),
                 format_percent(b.energy_savings),
                 format_percent(b.edp_improvement),
-                format_percent(
-                    aggressive[name].comparison.edp_improvement
-                ),
+                format_percent(aggressive.cell(name).edp_improvement),
             )
         )
     mapping = ", ".join(
@@ -82,30 +66,31 @@ def test_fig13_bounded_degradation(benchmark, report, machine):
             rows,
             title=(
                 "Figure 13. Conservative phase definitions bounding "
-                f"performance degradation by {TARGET:.0%}.\n"
+                "performance degradation by "
+                f"{BOUNDED_DEGRADATION_TARGET:.0%}.\n"
                 f"Derived policy: {mapping}"
             ),
         ),
         parameters={
             "n_intervals": N_INTERVALS,
-            "degradation_target": TARGET,
+            "degradation_target": BOUNDED_DEGRADATION_TARGET,
         },
         metrics={
             "max_degradation": max(
-                bounded[n].comparison.performance_degradation
+                bounded.cell(n).performance_degradation
                 for n in FIG13_BENCHMARKS
             ),
             "min_power_savings": min(
-                bounded[n].comparison.power_savings
+                bounded.cell(n).power_savings
                 for n in FIG13_BENCHMARKS
             ),
             "bounded_mean_edp_improvement": sum(
-                bounded[n].comparison.edp_improvement
+                bounded.cell(n).edp_improvement
                 for n in FIG13_BENCHMARKS
             )
             / len(FIG13_BENCHMARKS),
             "aggressive_mean_edp_improvement": sum(
-                aggressive[n].comparison.edp_improvement
+                aggressive.cell(n).edp_improvement
                 for n in FIG13_BENCHMARKS
             )
             / len(FIG13_BENCHMARKS),
@@ -119,12 +104,12 @@ def test_fig13_bounded_degradation(benchmark, report, machine):
         details={
             name: {
                 "performance_degradation": (
-                    bounded[name].comparison.performance_degradation
+                    bounded.cell(name).performance_degradation
                 ),
-                "power_savings": bounded[name].comparison.power_savings,
-                "edp_improvement": bounded[name].comparison.edp_improvement,
+                "power_savings": bounded.cell(name).power_savings,
+                "edp_improvement": bounded.cell(name).edp_improvement,
                 "aggressive_edp_improvement": (
-                    aggressive[name].comparison.edp_improvement
+                    aggressive.cell(name).edp_improvement
                 ),
             }
             for name in FIG13_BENCHMARKS
@@ -132,12 +117,14 @@ def test_fig13_bounded_degradation(benchmark, report, machine):
     )
 
     for name in FIG13_BENCHMARKS:
-        b = bounded[name].comparison
-        a = aggressive[name].comparison
+        b = bounded.cell(name)
+        a = aggressive.cell(name)
 
         # 'All of these applications experience performance degradations
         # significantly lower than 5%.'
-        assert b.performance_degradation < TARGET, name
+        assert (
+            b.performance_degradation < BOUNDED_DEGRADATION_TARGET
+        ), name
 
         # 'EDP improvements are reduced by more than 2X.'
         assert b.edp_improvement < a.edp_improvement / 2.0, name

@@ -1,10 +1,11 @@
 """Parameter-sweep helpers for predictor and system studies.
 
-The paper's evaluation is built from sweeps — PHT sizes (Figure 5),
-frequencies (Figure 7), benchmarks (Figures 4/11).  This module packages
-the recurring sweep shapes behind one call each.  Every helper returns a
-typed :class:`~repro.exec.results.SweepResult` (cells + parameters +
-provenance); the old nested-dict shape is available via ``.to_dict()``.
+The paper's evaluation is built from sweeps — predictors (Figure 4),
+PHT sizes (Figure 5), frequencies (Figure 7), benchmarks (Figure 11).
+This module packages the recurring sweep shapes behind one call each.
+Every helper returns a typed :class:`~repro.exec.results.SweepResult`
+(cells + parameters + provenance); the old nested-dict shape is
+available via ``.to_dict()``.
 
 Execution goes through the :mod:`repro.exec` engine: pass ``engine=``
 (or ``jobs=``/``cache=``) to fan a sweep out over worker processes and
@@ -25,7 +26,7 @@ from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
 from repro.exec.cells import comparison_summary, pinned_frequency_points
 from repro.exec.engine import ExecutionEngine, make_engine
-from repro.exec.results import Provenance, SweepCell, SweepResult
+from repro.exec.results import KeyValue, Provenance, SweepCell, SweepResult
 from repro.exec.spec import ExperimentSpec
 from repro.system.machine import Machine
 from repro.system.metrics import ComparisonMetrics
@@ -56,8 +57,8 @@ def _accuracy_sweep(
     sweep_name: str,
     axis_name: str,
     benchmark_names: Sequence[str],
-    axis_values: Sequence[int],
-    predictor_for: Callable[[int], str],
+    axis_values: Sequence[KeyValue],
+    predictor_for: Callable[[KeyValue], str],
     n_intervals: int,
     phase_table: Optional[PhaseTable],
     fixed_params: Sequence[Tuple[str, object]],
@@ -103,6 +104,40 @@ def _accuracy_sweep(
         parameters=tuple(sorted(parameters.items())),
         metric="accuracy",
         provenance=report.provenance(),
+    )
+
+
+def sweep_predictors(
+    benchmark_names: Sequence[str],
+    predictors: Sequence[str],
+    n_intervals: int,
+    engine: Optional[ExecutionEngine] = None,
+) -> SweepResult:
+    """Accuracy per benchmark per named predictor (Figure 4's matrix),
+    under the paper's Table 1 phases.
+
+    Args:
+        benchmark_names: Benchmarks to sweep.
+        predictors: Predictor names, as
+            :func:`repro.exec.cells.build_predictor` accepts them.
+        n_intervals: Series length per benchmark.
+        engine: Execution engine (default: serial, no cache).
+
+    Returns:
+        A :class:`SweepResult` named ``accuracy`` over axes
+        ``(benchmark, predictor)`` with primary metric ``accuracy``;
+        ``.to_dict()`` gives ``{benchmark: {predictor: accuracy}}``.
+    """
+    return _accuracy_sweep(
+        "accuracy",
+        "predictor",
+        benchmark_names,
+        predictors,
+        str,
+        n_intervals,
+        None,
+        (),
+        _resolve_engine(engine, 1, None),
     )
 
 

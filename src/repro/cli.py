@@ -34,15 +34,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro import __version__
 from repro.analysis.characterize import characterization_rows, characterize
@@ -53,7 +45,6 @@ from repro.exec.cache import NullCache, ResultCache
 from repro.exec.cells import (
     GOVERNOR_NAMES,
     POLICY_NAMES,
-    CellValue,
     build_governor,
     build_policy,
 )
@@ -376,50 +367,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _accuracy_result(
-    names: Sequence[str], intervals: int, engine: ExecutionEngine
-) -> SweepResult:
-    """Figure 4 predictor suite as a (benchmark, predictor) sweep."""
-    predictors = [p.name for p in paper_predictor_suite()]
-    grid: Dict[Tuple[str, str], ExperimentSpec] = {
-        (name, predictor): ExperimentSpec.create(
-            "predictor_accuracy",
-            benchmark=name,
-            n_intervals=intervals,
-            predictor=predictor,
-            phase_edges=None,
-        )
-        for name in names
-        for predictor in predictors
-    }
-    report = engine.run(list(grid.values()))
-
-    def _metrics(value: CellValue) -> Mapping[str, float]:
-        accuracy = value["accuracy"]
-        misprediction = value["misprediction_rate"]
-        assert isinstance(accuracy, float)
-        assert isinstance(misprediction, float)
-        return {
-            "accuracy": accuracy,
-            "misprediction_rate": misprediction,
-        }
-
-    from repro.exec.results import SweepCell
-
-    cells = tuple(
-        SweepCell.create(key, _metrics(report.value(spec)))
-        for key, spec in grid.items()
-    )
-    return SweepResult(
-        name="accuracy",
-        axes=("benchmark", "predictor"),
-        cells=cells,
-        parameters=(("n_intervals", intervals),),
-        metric="accuracy",
-        provenance=report.provenance(),
-    )
-
-
 def _render_two_axis(result: SweepResult, title: str) -> str:
     """Pivot a (benchmark, X) sweep into a benchmark-per-row table."""
     row_axis, col_axis = result.axes
@@ -435,11 +382,18 @@ def _render_two_axis(result: SweepResult, title: str) -> str:
 
 
 def _cmd_accuracy(args: argparse.Namespace) -> int:
+    from repro.analysis.sweeps import sweep_predictors
+
     names = (
         args.benchmarks or args.benchmark_args or list(benchmark_names())
     )
     engine, _, tracer = _cli_engine(args)
-    result = _accuracy_result(names, args.intervals, engine)
+    result = sweep_predictors(
+        names,
+        [p.name for p in paper_predictor_suite()],
+        args.intervals,
+        engine=engine,
+    )
     _write_trace(tracer, args)
     if args.progress:
         _print_provenance(result.provenance)
@@ -656,6 +610,10 @@ def _serve_manager(args: argparse.Namespace) -> "SessionManager":
 def _cmd_serve_stdio(args: argparse.Namespace) -> int:
     from repro.serve import serve_stdio
 
+    # Decode as the TCP frontend and the router do, whatever the locale:
+    # a byte that is not UTF-8 reads as U+FFFD, so its line answers
+    # bad_request instead of stopping the server.
+    sys.stdin.reconfigure(encoding="utf-8", errors="replace")
     handled = serve_stdio(_serve_manager(args), sys.stdin, sys.stdout)
     print(f"serve: {handled} requests handled", file=sys.stderr)
     return 0

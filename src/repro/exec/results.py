@@ -123,26 +123,15 @@ def _metrics_tuple(
     return tuple(sorted(metrics.items()))
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    """One cell of a sweep: its coordinates and its metrics.
+class _Cell:
+    """What :class:`SweepCell` and :class:`ComparisonCell` share: sorted
+    metrics and the lookups over them.  Each cell names itself in
+    messages through :meth:`_label`."""
 
-    Attributes:
-        key: Axis coordinates, in the sweep's axis order.
-        metrics: Sorted ``(name, value)`` metric pairs.
-    """
-
-    key: Tuple[KeyValue, ...]
     metrics: Tuple[Tuple[str, MetricValue], ...]
 
-    @classmethod
-    def create(
-        cls,
-        key: Sequence[KeyValue],
-        metrics: Mapping[str, MetricValue],
-    ) -> "SweepCell":
-        """Build a cell from loose key/metrics collections."""
-        return cls(key=tuple(key), metrics=_metrics_tuple(metrics))
+    def _label(self) -> str:
+        raise NotImplementedError
 
     def metric(self, name: str) -> MetricValue:
         """Look up one metric by name."""
@@ -150,7 +139,7 @@ class SweepCell:
             if metric_name == name:
                 return value
         raise ConfigurationError(
-            f"cell {self.key} has no metric {name!r}; "
+            f"{self._label()} has no metric {name!r}; "
             f"known: {[m for m, _ in self.metrics]}"
         )
 
@@ -159,13 +148,36 @@ class SweepCell:
         value = self.metric(name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(
-                f"metric {name!r} of cell {self.key} is not numeric: {value!r}"
+                f"metric {name!r} of {self._label()} is not numeric: {value!r}"
             )
         return float(value)
 
     def metrics_dict(self) -> Dict[str, MetricValue]:
         """The metrics as a plain dict."""
         return dict(self.metrics)
+
+
+@dataclass(frozen=True)
+class SweepCell(_Cell):
+    """One cell of a sweep: its coordinates and its metrics.
+
+    Attributes:
+        key: Axis coordinates, in the sweep's axis order (a tuple).
+        metrics: Sorted ``(name, value)`` metric pairs.
+    """
+
+    key: Tuple[KeyValue, ...]
+    metrics: Tuple[Tuple[str, MetricValue], ...]
+
+    @classmethod
+    def create(
+        cls, key: Sequence[KeyValue], metrics: Mapping[str, MetricValue]
+    ) -> "SweepCell":
+        """Build a cell from loose key/metrics collections."""
+        return cls(key=tuple(key), metrics=_metrics_tuple(metrics))
+
+    def _label(self) -> str:
+        return f"cell {self.key}"
 
 
 @dataclass(frozen=True)
@@ -374,7 +386,7 @@ class SweepResult:
 
 
 @dataclass(frozen=True)
-class ComparisonCell:
+class ComparisonCell(_Cell):
     """One benchmark's baseline-vs-managed summary metrics.
 
     Attributes:
@@ -393,28 +405,8 @@ class ComparisonCell:
         """Build a cell from a loose metrics mapping."""
         return cls(benchmark=benchmark, metrics=_metrics_tuple(metrics))
 
-    def metric(self, name: str) -> MetricValue:
-        """Look up one metric by name."""
-        for metric_name, value in self.metrics:
-            if metric_name == name:
-                return value
-        raise ConfigurationError(
-            f"comparison cell {self.benchmark!r} has no metric {name!r}"
-        )
-
-    def float_metric(self, name: str) -> float:
-        """Look up one numeric metric by name."""
-        value = self.metric(name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(
-                f"metric {name!r} of {self.benchmark!r} is not numeric: "
-                f"{value!r}"
-            )
-        return float(value)
-
-    def metrics_dict(self) -> Dict[str, MetricValue]:
-        """The metrics as a plain dict."""
-        return dict(self.metrics)
+    def _label(self) -> str:
+        return f"comparison cell {self.benchmark!r}"
 
     @property
     def edp_improvement(self) -> float:

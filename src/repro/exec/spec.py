@@ -24,7 +24,7 @@ from repro.system.machine import Machine
 
 #: Version string mixed into every cache key; bumping the package
 #: version (or this format tag) invalidates all previously cached cells.
-CODE_VERSION = "repro-1.0.0/spec-v1"
+CODE_VERSION = "repro-1.0.0/spec-v2"
 
 #: Scalar value types allowed in spec parameters — everything must be
 #: hashable and JSON-stable.

@@ -498,21 +498,38 @@ class ShardedServer:
         """Router-side metrics (requests routed, worker failures)."""
         return self._metrics
 
-    def _worker_args(
+    def _launch_worker(
         self, index: int, overrides: Dict[str, int]
-    ) -> Tuple[object, ...]:
-        return (
-            index,
-            self._workers,
-            self._host,
-            None,  # placeholder: the pipe end is appended by the caller
-            self._ceilings[index],
-            self._idle_timeout_s,
-            self._queue_depth,
-            self._checkpoint_path,
-            self._checkpoint_every,
-            overrides,
+    ) -> Tuple[
+        multiprocessing.process.BaseProcess,
+        "multiprocessing.connection.Connection",
+    ]:
+        """Start worker ``index``; return it and the pipe it reports on.
+
+        The worker runs the module's ``_worker_main`` as bound at call
+        time, so a wrapper installed over it is the one that runs.
+        """
+        context = multiprocessing.get_context()
+        parent_conn, child_conn = context.Pipe(duplex=False)
+        process = context.Process(
+            target=_worker_main,
+            args=(
+                index,
+                self._workers,
+                self._host,
+                child_conn,
+                self._ceilings[index],
+                self._idle_timeout_s,
+                self._queue_depth,
+                self._checkpoint_path,
+                self._checkpoint_every,
+                overrides,
+            ),
+            daemon=True,
         )
+        process.start()
+        child_conn.close()
+        return process, parent_conn
 
     def _spawn_worker(
         self,
@@ -521,15 +538,7 @@ class ShardedServer:
         timeout: float,
     ) -> Tuple[multiprocessing.process.BaseProcess, int, int]:
         """Spawn one worker and wait for ``(port, restored)`` (blocking)."""
-        context = multiprocessing.get_context()
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        args = list(self._worker_args(index, overrides))
-        args[3] = child_conn
-        process = context.Process(
-            target=_worker_main, args=tuple(args), daemon=True
-        )
-        process.start()
-        child_conn.close()
+        process, parent_conn = self._launch_worker(index, overrides)
         try:
             if not parent_conn.poll(timeout):
                 if process.is_alive():
@@ -563,17 +572,10 @@ class ShardedServer:
                 prefix="repro-serve-checkpoints-"
             )
             self._owns_checkpoint_dir = True
-        context = multiprocessing.get_context()
+        # Launch every worker before waiting on any, so they boot in parallel.
         pipes = []
         for index in range(self._workers):
-            parent_conn, child_conn = context.Pipe(duplex=False)
-            args = list(self._worker_args(index, {}))
-            args[3] = child_conn
-            process = context.Process(
-                target=_worker_main, args=tuple(args), daemon=True
-            )
-            process.start()
-            child_conn.close()
+            process, parent_conn = self._launch_worker(index, {})
             self._procs.append(process)
             pipes.append(parent_conn)
         for index, parent_conn in enumerate(pipes):

@@ -3,7 +3,6 @@
 from repro.system.experiment import (
     BenchmarkComparison,
     GovernorFactory,
-    compare_governors,
     run_comparison,
     run_comparison_suite,
     run_suite,
@@ -26,7 +25,6 @@ __all__ = [
     "BenchmarkComparison",
     "GovernorFactory",
     "run_comparison",
-    "compare_governors",
     "run_suite",
     "run_comparison_suite",
 ]

@@ -81,42 +81,6 @@ def run_comparison(
     )
 
 
-def compare_governors(
-    spec: BenchmarkSpec,
-    governor_factories: "Dict[str, GovernorFactory]",
-    machine: Optional[Machine] = None,
-    n_intervals: int = DEFAULT_TRACE_INTERVALS,
-    tracer: Optional[Tracer] = None,
-) -> Dict[str, ComparisonMetrics]:
-    """Run several governors on one benchmark against a shared baseline.
-
-    The baseline (pinned fastest) is executed once and reused for every
-    managed run, so the returned comparisons are directly head-to-head.
-
-    Args:
-        spec: The benchmark to run.
-        governor_factories: Display label to factory, in report order.
-        machine: Platform to run on.
-        n_intervals: Trace length in sampling intervals.
-        tracer: Optional trace collector shared by every managed run;
-            the ``PhaseClassified.governor`` field tells the runs apart
-            and the interval index restarts at 0 for each.
-
-    Returns:
-        ``{label: ComparisonMetrics}`` preserving the given order.
-    """
-    machine = machine if machine is not None else Machine()
-    trace = spec.trace(n_intervals=n_intervals)
-    baseline = machine.run(trace, StaticGovernor(machine.speedstep.fastest))
-    comparisons: Dict[str, ComparisonMetrics] = {}
-    for label, factory in governor_factories.items():
-        managed = machine.run(trace, factory(), tracer=tracer)
-        comparisons[label] = ComparisonMetrics(
-            baseline=baseline, managed=managed
-        )
-    return comparisons
-
-
 def run_suite(
     benchmark_names: Sequence[str],
     governor_factory: GovernorFactory,

@@ -2,15 +2,42 @@
 
 import pytest
 
+from repro.analysis.accuracy import evaluate_predictor
 from repro.analysis.sweeps import (
     sweep_frequencies,
     sweep_gphr_depth,
     sweep_granularity,
     sweep_pht_entries,
+    sweep_predictors,
 )
 from repro.core.governor import ReactiveGovernor
+from repro.core.predictors import GPHTPredictor, paper_predictor_suite
 from repro.errors import ConfigurationError
 from repro.exec.results import SweepResult
+from repro.workloads.spec2000 import benchmark
+
+
+class TestPredictorSweep:
+    BENCHMARKS = ("applu_in", "bzip2_source")
+    INTERVALS = 300
+
+    def test_equals_the_scalar_evaluator(self):
+        predictors = paper_predictor_suite() + [GPHTPredictor(4, 64)]
+        names = [p.name for p in predictors]
+        result = sweep_predictors(self.BENCHMARKS, names, self.INTERVALS)
+        assert result.name == "accuracy"
+        assert result.axes == ("benchmark", "predictor")
+        assert [cell.key for cell in result.cells] == [
+            (name, predictor) for name in self.BENCHMARKS for predictor in names
+        ]
+        for name in self.BENCHMARKS:
+            series = benchmark(name).mem_series(self.INTERVALS)
+            for predictor in predictors:
+                expected = evaluate_predictor(predictor, series)
+                assert result.cell(name, predictor.name).metrics_dict() == {
+                    "accuracy": expected.accuracy,
+                    "misprediction_rate": expected.misprediction_rate,
+                }
 
 
 class TestPHTSweep:

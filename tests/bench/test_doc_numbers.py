@@ -101,6 +101,13 @@ METRIC_ROWS = (
       (name, "aggressive_edp_improvement")))
     for name in ("mcf_inp", "applu_in", "equake_in", "swim_in", "mgrid_in")
 ) + (
+    ("EXPERIMENTS.md",
+     r"\| depth 1 collapses \(applu (\d+%)\); depth 4–8 is the plateau "
+     r"\(applu (\d+%)/(\d+%)\); 16 gains nothing \|$",
+     "ablation_gphr_depth",
+     (("accuracy", "applu_in", "GPHT_1_1024"),
+      ("accuracy", "applu_in", "GPHT_4_1024"),
+      ("accuracy", "applu_in", "GPHT_8_1024"))),
     # The scale-out split, stamped with the host it was measured on.
     ("docs/serving.md",
      r"committed\s+run,\s+on\s+a\s+(\d+)-CPU\s+host,\s+1\s+worker\s+at\s+"

@@ -90,6 +90,12 @@ class TestSweepResultTypedAccess:
                 cells=(SweepCell.create((1,), {"x": 1.0}),),
             )
 
+    def test_create_takes_any_key_sequence(self):
+        cell = SweepCell.create(["swim_in", 128], {"accuracy": 0.9})
+        assert cell.key == ("swim_in", 128)
+        result = SweepResult(name="s", axes=("benchmark", "n"), cells=(cell,))
+        assert result.cell("swim_in", 128) is cell
+
     def test_float_metric_rejects_non_numeric(self):
         cell = SweepCell.create(("x",), {"flag": True, "name": "y"})
         with pytest.raises(ConfigurationError):

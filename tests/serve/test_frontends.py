@@ -3,6 +3,10 @@
 import asyncio
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.serve import SessionManager, serve_stdio, serve_tcp_async
 from repro.serve.frontends import FLUSH_BYTES, relay_lines
@@ -50,6 +54,23 @@ class TestStdio:
         stdin = io.StringIO('\n\n{"op":"stats"}\n\n')
         stdout = io.StringIO()
         assert serve_stdio(manager, stdin, stdout) == 1
+
+    def test_command_answers_a_line_that_is_not_utf8(self):
+        # A strict stdin decoder would stop the server at the first line.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONIOENCODING"] = "utf-8:strict"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "stdio"],
+            input=b'\xff\xfe{"op":"stats"}\n{"op":"hello"}\n',
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        bad, hello = [json.loads(line) for line in done.stdout.splitlines()]
+        assert bad["error"] == "bad_request", bad
+        assert hello["ok"] is True and hello["session"] == "s1", hello
 
     def test_errors_do_not_stop_the_loop(self):
         handled, responses, _ = run_stdio(

@@ -83,11 +83,11 @@ def check_answers(answers):
 
 def stdio_answers(lines):
     """Answers of ``serve_stdio`` over ``lines``, read as ``repro serve
-    stdio`` reads them under a C or UTF-8-mode locale."""
+    stdio`` reads them."""
     stdin = io.TextIOWrapper(
         io.BytesIO(b"".join(line + b"\n" for line in lines)),
         encoding="utf-8",
-        errors="surrogateescape",
+        errors="replace",
     )
     stdout = io.StringIO()
     serve_stdio(SessionManager(), stdin, stdout)

@@ -72,27 +72,3 @@ def test_default_machine_is_built_when_omitted():
         benchmark("crafty_in"), lambda: ReactiveGovernor(), n_intervals=5
     )
     assert result.baseline.total_seconds > 0
-
-
-def test_compare_governors_shares_one_baseline(machine):
-    from repro.core.predictors import GPHTPredictor
-    from repro.core.governor import PhasePredictionGovernor
-    from repro.system.experiment import compare_governors
-
-    comparisons = compare_governors(
-        benchmark("applu_in"),
-        {
-            "gpht": lambda: PhasePredictionGovernor(GPHTPredictor(8, 128)),
-            "reactive": lambda: ReactiveGovernor(),
-        },
-        machine,
-        n_intervals=60,
-    )
-    assert list(comparisons) == ["gpht", "reactive"]
-    gpht = comparisons["gpht"]
-    reactive = comparisons["reactive"]
-    # Shared baseline: identical baseline runs by construction.
-    assert gpht.baseline.total_energy_j == reactive.baseline.total_energy_j
-    assert gpht.baseline.total_seconds == reactive.baseline.total_seconds
-    # On the variable benchmark the proactive governor wins.
-    assert gpht.edp_improvement > reactive.edp_improvement
